@@ -207,7 +207,7 @@ func BenchmarkReadBurst(b *testing.B) {
 }
 
 // BenchmarkShardedWriteBurst measures the bridge endpoints' bulk path:
-// chunked writes and reads across a ShardedFIFO with barrier flushes.
+// chunked writes and reads across a ShardedFIFO with coordinator flushes.
 func BenchmarkShardedWriteBurst(b *testing.B) {
 	const chunk = 256
 	k := sim.NewKernel("bench")

@@ -29,15 +29,6 @@
 // of a transiently-failing point before the single-kernel degradation
 // rerun kicks in (see the campaign package docs for the full policy).
 //
-// -profile-guided rewrites every sharded point to the "profiled"
-// partitioner and pre-runs each unique point once single-kernel to
-// measure its channel traffic and module dispatch counts; the sharded
-// run then places modules by the measured weights. The rewrite is a
-// pure function of the expansion, so the output stays deterministic
-// across worker counts; the placement-cost counters
-// (crossings_before/after, cut_weight_before/after) land in each
-// point's outcome.
-//
 // Exit status: 0 on success, 1 if any point failed or any trace-
 // equivalence spot check found a difference, 2 on usage or I/O errors —
 // or, when a run ends with stalled points, 2 with the first structured
@@ -85,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		simtrace   = fs.String("simtrace", "", "write the last sharded point's scheduler timeline as Chrome trace JSON to this file")
 		storeDir   = fs.String("store", "", "durable campaign store directory: journal the run to a crash-safe WAL and reuse outcomes already in the log")
 		resume     = fs.Bool("resume", false, "resume the campaigns a previous crash or interrupt left unfinished in -store and emit the most recent one's document")
-		profGuided = fs.Bool("profile-guided", false, "rewrite sharded points to the profiled partitioner, pre-running each unique point single-kernel to measure its traffic")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -142,7 +132,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PointDeadline: *timeout,
 		StallWindow:   *stall,
 		MaxAttempts:   *retries,
-		ProfileGuided: *profGuided,
 	}
 	var reg *metrics.Registry
 	var storeMetrics *store.Metrics

@@ -49,21 +49,15 @@ import (
 
 // row is one (depth, mode) measurement, shared by the CSV and JSON outputs.
 type row struct {
-	Depth     int    `json:"depth"`
-	Mode      string `json:"mode"`
-	Shards    int    `json:"shards,omitempty"`
-	Crossings int    `json:"crossings,omitempty"`
-	// The placement-cost columns are populated only by profiled-placement
-	// rows (-partitioner profiled): hint-based vs measured-traffic cut.
-	CrossingsBefore int     `json:"crossings_before,omitempty"`
-	CrossingsAfter  int     `json:"crossings_after,omitempty"`
-	CutWeightBefore float64 `json:"cut_weight_before,omitempty"`
-	CutWeightAfter  float64 `json:"cut_weight_after,omitempty"`
-	QuantumNS       int64   `json:"quantum_ns,omitempty"`
-	WallMS          float64 `json:"wall_ms"`
-	CtxSwitches     uint64  `json:"ctx_switches"`
-	SimEndNS        int64   `json:"sim_end_ns"`
-	MaxErrNS        int64   `json:"max_err_ns"`
+	Depth       int     `json:"depth"`
+	Mode        string  `json:"mode"`
+	Shards      int     `json:"shards,omitempty"`
+	Crossings   int     `json:"crossings,omitempty"`
+	QuantumNS   int64   `json:"quantum_ns,omitempty"`
+	WallMS      float64 `json:"wall_ms"`
+	CtxSwitches uint64  `json:"ctx_switches"`
+	SimEndNS    int64   `json:"sim_end_ns"`
+	MaxErrNS    int64   `json:"max_err_ns"`
 }
 
 // report is the -json document.
@@ -84,7 +78,7 @@ func main() {
 		reps        = flag.Int("reps", 1, "repetitions per point (best wall time kept)")
 		quantum     = flag.Bool("quantum", false, "run the quantum-keeper ablation instead of Fig. 5")
 		shards      = flag.Int("shards", 0, "additionally run TDfull partitioned over N kernels (TDpar rows)")
-		partitioner = flag.String("partitioner", "", "netlist partitioner for the sharded rows: single, roundrobin (default), mincut or profiled (two-phase, measured-traffic placement)")
+		partitioner = flag.String("partitioner", "", "netlist partitioner for the sharded rows: single, roundrobin (default) or mincut")
 		burst       = flag.Int("burst", 0, "additionally run the burst-dominated configuration with chunks of N words (TDless-b/TDburst rows)")
 		csv         = flag.Bool("csv", false, "emit CSV")
 		jsonOut     = flag.Bool("json", false, "emit a single JSON document (for BENCH_*.json trajectories)")
@@ -182,8 +176,7 @@ func run(blocks, words int, depths string, reps int, quantum bool, shards, burst
 		if quantum {
 			csvW = campaign.NewCSV(os.Stdout, "depth", "mode", "quantum_ns", "wall_ms", "ctx_switches", "max_err_ns")
 		} else {
-			csvW = campaign.NewCSV(os.Stdout, "depth", "mode", "wall_ms", "ctx_switches", "sim_end_ns", "err_ns", "crossings",
-				"crossings_before", "crossings_after", "cut_weight_before", "cut_weight_after")
+			csvW = campaign.NewCSV(os.Stdout, "depth", "mode", "wall_ms", "ctx_switches", "sim_end_ns", "err_ns", "crossings")
 		}
 	}
 	var rows []row
@@ -272,25 +265,19 @@ func runFig5(blocks, words int, depths []int, reps, shards, burst int, partition
 			if cfg.Shards > 1 {
 				rowShards = r.Shards
 			}
-			nr := row{
+			rows = append(rows, row{
 				Depth: d, Mode: label, Shards: rowShards, Crossings: r.Crossings,
 				WallMS:      float64(r.Wall.Microseconds()) / 1000,
 				CtxSwitches: r.Stats.ContextSwitches,
 				SimEndNS:    int64(r.SimEnd / sim.NS),
 				MaxErrNS:    int64(errNS / sim.NS),
-			}
-			if pc := r.Placement; pc != nil {
-				nr.CrossingsBefore, nr.CrossingsAfter = pc.CrossingsBefore, pc.CrossingsAfter
-				nr.CutWeightBefore, nr.CutWeightAfter = pc.CutWeightBefore, pc.CutWeightAfter
-			}
-			rows = append(rows, nr)
+			})
 			if quiet {
 				return
 			}
 			if csvW != nil {
 				csvW.Row(d, label, float64(r.Wall.Microseconds())/1000, r.Stats.ContextSwitches,
-					int64(r.SimEnd/sim.NS), int64(errNS/sim.NS), r.Crossings,
-					nr.CrossingsBefore, nr.CrossingsAfter, nr.CutWeightBefore, nr.CutWeightAfter)
+					int64(r.SimEnd/sim.NS), int64(errNS/sim.NS), r.Crossings)
 			} else {
 				fmt.Printf("%6d  %-8s  %10.3f  %12d  %14v  %8s\n",
 					d, label, float64(r.Wall.Microseconds())/1000, r.Stats.ContextSwitches, r.SimEnd, errStr)

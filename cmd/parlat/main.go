@@ -3,20 +3,17 @@
 // response bridge, client and server on separate shards, while
 // background load streams words between further shard pairs — the
 // coordinator analogue of an inter-core ping/pong latency harness. The
-// load lives on its own shard pairs deliberately: a global-barrier
-// scheduler couples the measured pair to that unrelated work (every trip
-// waits for rounds that also flush every load bridge and dispatch every
-// working load shard, a cost that grows with system size), while the
-// frontier-driven scheduler keeps each ping exchange local to the two
-// shards and two bridges involved. That coupling is exactly the
-// coordination cost the harness exists to expose.
+// load lives on its own shard pairs deliberately: the frontier-driven
+// scheduler should keep each ping exchange local to the two shards and
+// two bridges involved, so any coupling of the measured pair to that
+// unrelated work is coordination cost the harness exposes.
 //
-// Each mode runs the identical model twice: once under the legacy
-// all-shard barrier scheduler (Coordinator.SetBarrier) and once under
-// the default asynchronous frontier-driven one. Per-round-trip wall
-// times are reported as p50/p99/max microseconds; simulated dates must
-// be identical between the two schedulers (dates_equal) — the latency
-// difference is pure coordination cost, never model behaviour.
+// Per-round-trip wall times of the sharded run are reported as
+// p50/p99/max microseconds, with the coordinator stats. The same model
+// also runs with every endpoint on one kernel (all bridges become
+// self-bridges on a one-shard coordinator), and the client's dated log
+// must match the sharded run's (dates_equal) — the sharded latency is
+// pure coordination cost, never model behaviour.
 //
 // Output is a human table, or one JSON document with -json (recorded in
 // BENCH_parlat.json).
@@ -25,6 +22,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -36,7 +34,7 @@ import (
 	"repro/internal/sim"
 )
 
-// modeJSON is one scheduler's measurement.
+// modeJSON is the sharded run's measurement.
 type modeJSON struct {
 	Mode       string  `json:"mode"`
 	RoundTrips int     `json:"round_trips"`
@@ -44,7 +42,7 @@ type modeJSON struct {
 	P99us      float64 `json:"p99_us"`
 	MaxUs      float64 `json:"max_us"`
 	WallMS     float64 `json:"wall_ms"`
-	// Coordinator telemetry for the reported run: rendezvous/barrier
+	// Coordinator telemetry for the reported run: rendezvous
 	// dispatches, kernel advances, bridge exchanges.
 	Rounds   uint64 `json:"rounds"`
 	Advances uint64 `json:"advances"`
@@ -53,23 +51,36 @@ type modeJSON struct {
 
 // reportJSON is the -json document.
 type reportJSON struct {
-	Benchmark     string     `json:"benchmark"`
-	RoundTrips    int        `json:"round_trips"`
-	LoadWords     int        `json:"load_words"`
-	LoadPairs     int        `json:"load_pairs"`
-	Warmup        int        `json:"warmup_discarded"`
-	GOMAXPROCS    int        `json:"gomaxprocs"`
-	Modes         []modeJSON `json:"modes"`
-	DatesEqual    bool       `json:"dates_equal"`
-	AsyncP99Lower bool       `json:"async_p99_lower"`
+	Benchmark  string     `json:"benchmark"`
+	RoundTrips int        `json:"round_trips"`
+	LoadWords  int        `json:"load_words"`
+	LoadPairs  int        `json:"load_pairs"`
+	Warmup     int        `json:"warmup_discarded"`
+	GOMAXPROCS int        `json:"gomaxprocs"`
+	Modes      []modeJSON `json:"modes"`
+	DatesEqual bool       `json:"dates_equal"`
 }
 
 // run executes the ping/pong model once and returns the per-round-trip
 // wall times and the client's dated completion log (the determinism
-// witness compared across schedulers).
-func run(n, load, pairs int, barrier bool) (lat []time.Duration, dates []sim.Time, st par.Stats) {
-	kc := sim.NewKernel("client")
-	ks := sim.NewKernel("server")
+// witness compared against the one-kernel run). With oneKernel, every
+// endpoint shares a single kernel and every bridge is a self-bridge.
+func run(n, load, pairs int, oneKernel bool) (lat []time.Duration, dates []sim.Time, st par.Stats) {
+	c := par.NewCoordinator()
+	var solo *sim.Kernel
+	newKernel := func(name string) *sim.Kernel {
+		if solo != nil {
+			return solo
+		}
+		k := sim.NewKernel(name)
+		c.AddShard(k)
+		if oneKernel {
+			solo = k
+		}
+		return k
+	}
+	kc := newKernel("client")
+	ks := newKernel("server")
 	req := core.NewSharded[int](kc, ks, "req", 8)
 	rsp := core.NewSharded[int](ks, kc, "rsp", 8)
 
@@ -109,31 +120,22 @@ func run(n, load, pairs int, barrier bool) (lat []time.Duration, dates []sim.Tim
 			}
 		})
 	}
-	c := par.NewCoordinator()
-	c.AddShard(kc)
-	c.AddShard(ks)
-	for _, b := range []*core.ShardedFIFO[int]{req, rsp} {
-		c.AddBridge(b)
-	}
+	c.AddBridge(req)
+	c.AddBridge(rsp)
 	// Background load: `pairs` shard pairs stream words at each other in
 	// both directions, each pair on its own two shards. The load does
-	// not touch the measured pair at all — which is the point: a
-	// global-barrier scheduler still couples every trip to it (each
-	// round flushes every bridge and dispatches every working shard),
-	// while the frontier-driven scheduler keeps the ping exchange local.
+	// not touch the measured pair at all — which is the point: the
+	// frontier-driven scheduler should keep the ping exchange local.
 	for pi := 0; pi < pairs; pi++ {
-		kla := sim.NewKernel(fmt.Sprintf("load.%d.a", pi))
-		klb := sim.NewKernel(fmt.Sprintf("load.%d.b", pi))
+		kla := newKernel(fmt.Sprintf("load.%d.a", pi))
+		klb := newKernel(fmt.Sprintf("load.%d.b", pi))
 		ldAB := core.NewSharded[int](kla, klb, fmt.Sprintf("load.%d.ab", pi), 64)
 		ldBA := core.NewSharded[int](klb, kla, fmt.Sprintf("load.%d.ba", pi), 64)
 		mkLoad(kla, fmt.Sprintf("%d.ab", pi), ldAB, klb)
 		mkLoad(klb, fmt.Sprintf("%d.ba", pi), ldBA, kla)
-		c.AddShard(kla)
-		c.AddShard(klb)
 		c.AddBridge(ldAB)
 		c.AddBridge(ldBA)
 	}
-	c.SetBarrier(barrier)
 	c.Run(sim.RunForever)
 	st = c.Stats()
 	c.Shutdown()
@@ -166,84 +168,80 @@ func datesEqual(a, b []sim.Time) bool {
 	return true
 }
 
-func main() { os.Exit(run1(os.Args[1:])) }
+func main() { os.Exit(run1(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run1(args []string) int {
+func run1(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("parlat", flag.ExitOnError)
 	var (
-		n       = fs.Int("n", 2000, "measured round trips per scheduler")
-		load    = fs.Int("load", 100000, "background words per load stream (sized so the load spans the whole measured run)")
-		pairs   = fs.Int("pairs", 4, "background load shard pairs (system size beyond the measured pair)")
-		warmup  = fs.Int("warmup", 50, "leading round trips discarded from the stats")
-		best     = fs.Int("best", 3, "runs per scheduler; the lowest-p99 run is reported")
+		n        = fs.Int("n", 2000, "measured round trips per run")
+		load     = fs.Int("load", 100000, "background words per load stream (sized so the load spans the whole measured run)")
+		pairs    = fs.Int("pairs", 4, "background load shard pairs (system size beyond the measured pair)")
+		warmup   = fs.Int("warmup", 50, "leading round trips discarded from the stats")
+		best     = fs.Int("best", 3, "sharded runs; the lowest-p99 run is reported")
 		jsonOut  = fs.Bool("json", false, "emit one JSON document on stdout")
-		simtrace = fs.String("simtrace", "", "write the final run's scheduler timeline as Chrome trace JSON to this file")
+		simtrace = fs.String("simtrace", "", "write the last sharded run's scheduler timeline as Chrome trace JSON to this file")
 	)
 	fs.Parse(args)
 	if *simtrace != "" {
 		par.SetTraceCapture(4096)
 	}
 
-	// One discarded warm-up run per scheduler before any measurement: the
-	// first run in a fresh process absorbs allocator growth, and whichever
-	// scheduler measured first would otherwise be charged for it.
-	run(*n/4+1, *load/4+1, *pairs, true)
-	run(*n/4+1, *load/4+1, *pairs, false)
-
-	measure := func(barrier bool, name string) (modeJSON, []sim.Time) {
-		var bestM modeJSON
-		var bestDates []sim.Time
-		for r := 0; r < *best; r++ {
-			start := time.Now()
-			lat, dates, st := run(*n, *load, *pairs, barrier)
-			wall := time.Since(start)
-			p50, p99, max := stats(lat, *warmup)
-			m := modeJSON{Mode: name, RoundTrips: len(lat), P50us: p50, P99us: p99, MaxUs: max,
-				WallMS: float64(wall.Microseconds()) / 1e3,
-				Rounds: st.Rounds, Advances: st.Advances, Flushes: st.Flushes}
-			if r == 0 || m.P99us < bestM.P99us {
-				bestM, bestDates = m, dates
-			}
-		}
-		return bestM, bestDates
+	// Warm the process before any measurement: discard as many full-size
+	// sharded runs as are measured, then take the one-kernel reference.
+	// Early runs in a fresh process absorb heap and goroutine-stack
+	// growth, and a tail statistic like p99 is what they inflate.
+	for r := 0; r < *best; r++ {
+		run(*n, *load, *pairs, false)
 	}
+	_, refDates, _ := run(*n, *load, *pairs, true)
 
-	barrierM, barrierDates := measure(true, "barrier")
-	asyncM, asyncDates := measure(false, "async")
-	eq := datesEqual(barrierDates, asyncDates)
+	var async modeJSON
+	var asyncDates []sim.Time
+	for r := 0; r < *best; r++ {
+		start := time.Now()
+		lat, dates, st := run(*n, *load, *pairs, false)
+		wall := time.Since(start)
+		p50, p99, max := stats(lat, *warmup)
+		m := modeJSON{Mode: "async", RoundTrips: len(lat), P50us: p50, P99us: p99, MaxUs: max,
+			WallMS: float64(wall.Microseconds()) / 1e3,
+			Rounds: st.Rounds, Advances: st.Advances, Flushes: st.Flushes}
+		if r == 0 || m.P99us < async.P99us {
+			async, asyncDates = m, dates
+		}
+	}
+	eq := datesEqual(refDates, asyncDates)
 
 	rep := reportJSON{
 		Benchmark:  "parlat",
 		RoundTrips: *n, LoadWords: *load, LoadPairs: *pairs, Warmup: *warmup,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		Modes:         []modeJSON{barrierM, asyncM},
-		DatesEqual:    eq,
-		AsyncP99Lower: asyncM.P99us < barrierM.P99us,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		Modes:      []modeJSON{async},
+		DatesEqual: eq,
 	}
 	if *jsonOut {
-		if err := campaign.WriteJSON(os.Stdout, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "parlat: %v\n", err)
+		if err := campaign.WriteJSON(stdout, rep); err != nil {
+			fmt.Fprintf(stderr, "parlat: %v\n", err)
 			return 1
 		}
 	} else {
-		fmt.Printf("Inter-shard round-trip latency, %d trips under load (%d pairs x %d words/stream), GOMAXPROCS %d:\n\n",
+		fmt.Fprintf(stdout, "Inter-shard round-trip latency, %d trips under load (%d pairs x %d words/stream), GOMAXPROCS %d:\n\n",
 			*n, *pairs, *load, rep.GOMAXPROCS)
 		for _, m := range rep.Modes {
-			fmt.Printf("%-8s  p50 %8.1fus  p99 %8.1fus  max %8.1fus  (wall %8.3fms, rounds %d, advances %d, flushes %d)\n",
+			fmt.Fprintf(stdout, "%-8s  p50 %8.1fus  p99 %8.1fus  max %8.1fus  (wall %8.3fms, rounds %d, advances %d, flushes %d)\n",
 				m.Mode, m.P50us, m.P99us, m.MaxUs, m.WallMS, m.Rounds, m.Advances, m.Flushes)
 		}
-		fmt.Printf("\nsimulated dates identical across schedulers: %v\n", eq)
+		fmt.Fprintf(stdout, "\nsimulated dates identical to the one-kernel run: %v\n", eq)
 	}
 	if !eq {
-		fmt.Fprintln(os.Stderr, "parlat: ACCURACY VIOLATION: schedulers disagree on dates")
+		fmt.Fprintln(stderr, "parlat: ACCURACY VIOLATION: sharded and one-kernel runs disagree on dates")
 		return 1
 	}
 	if *simtrace != "" {
 		if err := dumpTrace(*simtrace); err != nil {
-			fmt.Fprintf(os.Stderr, "parlat: simtrace: %v\n", err)
+			fmt.Fprintf(stderr, "parlat: simtrace: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "parlat: scheduler timeline written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *simtrace)
+		fmt.Fprintf(stderr, "parlat: scheduler timeline written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *simtrace)
 	}
 	return 0
 }

@@ -51,8 +51,8 @@ func TestMain(m *testing.M) {
 
 // The jittered chaos workload, registered in this binary so both the
 // parent's in-process baseline and the re-exec'd service share it:
-// scheduling jitter and deferred bridge flushes perturb every barrier
-// round, while the outcome stays deterministic (dates and checksums
+// scheduling jitter and deferred bridge exchanges perturb every shard
+// step, while the outcome stays deterministic (dates and checksums
 // only — no interleaving-dependent counters), so byte-identity holds
 // even for sharded points.
 func init() {
@@ -386,7 +386,7 @@ func TestTombstoneAnswers410(t *testing.T) {
 }
 
 // TestCrashSoakChaosJitter combines the chaos layer's scheduling jitter
-// (sharded points, perturbed barrier rounds, deferred flushes) with
+// (sharded points, perturbed shard steps, deferred exchanges) with
 // mid-run SIGKILL — the cross-layer soak. Run under -race in CI.
 func TestCrashSoakChaosJitter(t *testing.T) {
 	if testing.Short() {

@@ -40,23 +40,17 @@ type runJSON struct {
 
 // shardedJSON reports the -shards comparison.
 type shardedJSON struct {
-	Shards      int    `json:"shards"`
-	Partitioner string `json:"partitioner"`
-	Crossings   int    `json:"crossings"`
-	// The placement-cost fields are populated only when the partitioner is
-	// "profiled": the hint-based vs measured-traffic cut of the same model.
-	CrossingsBefore int     `json:"crossings_before,omitempty"`
-	CrossingsAfter  int     `json:"crossings_after,omitempty"`
-	CutWeightBefore float64 `json:"cut_weight_before,omitempty"`
-	CutWeightAfter  float64 `json:"cut_weight_after,omitempty"`
-	Single          runJSON `json:"single"`
-	Sharded         runJSON `json:"sharded"`
+	Shards      int     `json:"shards"`
+	Partitioner string  `json:"partitioner"`
+	Crossings   int     `json:"crossings"`
+	Single      runJSON `json:"single"`
+	Sharded     runJSON `json:"sharded"`
 	// Advances counts coordinator kernel advances in the sharded run —
 	// scheduler telemetry (interleaving-dependent under the async
 	// coordinator), reported for scale, never compared.
-	Advances uint64  `json:"advances"`
-	SpeedupX float64 `json:"speedup_x"`
-	DatesEqual  bool    `json:"dates_equal"`
+	Advances   uint64  `json:"advances"`
+	SpeedupX   float64 `json:"speedup_x"`
+	DatesEqual bool    `json:"dates_equal"`
 }
 
 // reportJSON is the -json document.
@@ -100,7 +94,7 @@ func run() int {
 		dma         = flag.Bool("dma", true, "include the memory-to-memory DMA pipeline")
 		reps        = flag.Int("reps", 1, "repetitions (best wall time kept)")
 		shards      = flag.Int("shards", 0, "also run the clustered model on 1 and N kernels and report the parallel speedup")
-		partitioner = flag.String("partitioner", "", "netlist partitioner for the clustered model: single, roundrobin (default), mincut or profiled (two-phase, measured-traffic placement)")
+		partitioner = flag.String("partitioner", "", "netlist partitioner for the clustered model: single, roundrobin (default) or mincut")
 		csvOut      = flag.Bool("csv", false, "emit CSV")
 		jsonOut     = flag.Bool("json", false, "emit a single JSON document")
 		cpuprofile  = flag.String("cpuprofile", "", "write a CPU profile of the runs to this file")
@@ -201,10 +195,6 @@ func run() int {
 			DatesEqual: fmt.Sprint(single.JobDates) == fmt.Sprint(multi.JobDates) &&
 				fmt.Sprint(single.Checksums) == fmt.Sprint(multi.Checksums),
 		}
-		if pc := multi.Placement; pc != nil {
-			shardedRep.CrossingsBefore, shardedRep.CrossingsAfter = pc.CrossingsBefore, pc.CrossingsAfter
-			shardedRep.CutWeightBefore, shardedRep.CutWeightAfter = pc.CutWeightBefore, pc.CutWeightAfter
-		}
 	}
 
 	switch {
@@ -220,25 +210,17 @@ func run() int {
 			return 1
 		}
 	case *csvOut:
-		c := campaign.NewCSV(os.Stdout, "mode", "wall_ms", "ctx_switches", "sim_end_ns", "crossings",
-			"crossings_before", "crossings_after", "cut_weight_before", "cut_weight_after")
+		c := campaign.NewCSV(os.Stdout, "mode", "wall_ms", "ctx_switches", "sim_end_ns", "crossings")
 		type csvRow struct {
 			r         runJSON
 			crossings int
-			placed    bool
 		}
-		rows := []csvRow{{asJSON("sync", syncRes), 0, false}, {asJSON("smart", smart), 0, false}}
+		rows := []csvRow{{asJSON("sync", syncRes), 0}, {asJSON("smart", smart), 0}}
 		if shardedRep != nil {
-			rows = append(rows, csvRow{shardedRep.Single, 0, false}, csvRow{shardedRep.Sharded, shardedRep.Crossings, true})
+			rows = append(rows, csvRow{shardedRep.Single, 0}, csvRow{shardedRep.Sharded, shardedRep.Crossings})
 		}
 		for _, cr := range rows {
-			var cb, ca int
-			var wb, wa float64
-			if cr.placed {
-				cb, ca = shardedRep.CrossingsBefore, shardedRep.CrossingsAfter
-				wb, wa = shardedRep.CutWeightBefore, shardedRep.CutWeightAfter
-			}
-			c.Row(cr.r.Mode, cr.r.WallMS, cr.r.CtxSwitches, cr.r.SimEndNS, cr.crossings, cb, ca, wb, wa)
+			c.Row(cr.r.Mode, cr.r.WallMS, cr.r.CtxSwitches, cr.r.SimEndNS, cr.crossings)
 		}
 		if err := c.Flush(); err != nil {
 			fmt.Fprintf(os.Stderr, "socbench: %v\n", err)
@@ -265,11 +247,6 @@ func run() int {
 			fmt.Printf("  %d kernels: %8.3f ms\n", shardedRep.Shards, shardedRep.Sharded.WallMS)
 			fmt.Printf("  speedup: %.2fx   dates and checksums identical: %v\n",
 				shardedRep.SpeedupX, shardedRep.DatesEqual)
-			if shardedRep.CutWeightBefore != 0 || shardedRep.CutWeightAfter != 0 {
-				fmt.Printf("  profiled placement: crossings %d -> %d, cut weight %.0f -> %.0f words\n",
-					shardedRep.CrossingsBefore, shardedRep.CrossingsAfter,
-					shardedRep.CutWeightBefore, shardedRep.CutWeightAfter)
-			}
 		}
 	}
 	if !datesEqual || !sumsEqual || (shardedRep != nil && !shardedRep.DatesEqual) {

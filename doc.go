@@ -84,9 +84,9 @@
 //     nothing is runnable even then it falls back to the globally
 //     earliest event date, which is always safe to process. Lookahead
 //     runs out roughly every FIFO-depth words per bridge, so deeper
-//     FIFOs mean fewer rendezvous. SetBarrier(true) forces the legacy
-//     lockstep barrier scheduler; both produce identical dates
-//     (cmd/parlat re-checks this while measuring the latency gap).
+//     FIFOs mean fewer rendezvous. The same scheduler runs every shard
+//     count, one included (cmd/parlat measures its round-trip latency
+//     and re-checks the dates against a one-kernel run of the model).
 //
 // Blocking Read/Write through a bridge produce local dates identical to a
 // single-kernel SmartFIFO — 1-shard and N-shard runs of the same model
@@ -157,8 +157,7 @@
 // into a registry handed over at startup — sim.EnableMetrics (kernels
 // fold Stats deltas in at interrupt-poll safe points, never per
 // dispatch), core.EnableBridgeMetrics (bridge words/credits counted per
-// flush, never per word; ShardedFIFO.Traffic is the always-on
-// per-channel raw feed), par.EnableMetrics (parks, graded wakes,
+// flush, never per word), par.EnableMetrics (parks, graded wakes,
 // rendezvous, exchange-latency histogram) and campaign.NewMetrics
 // (point lifecycle, cache hits, active workers/campaigns). Everything
 // no-ops at a nil check when disabled; AllocsPerRun regressions pin the

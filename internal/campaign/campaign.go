@@ -89,16 +89,6 @@ type Options struct {
 	// NoDegrade disables the sharded→single-kernel degradation rerun
 	// that otherwise follows a transiently-failed sharded point.
 	NoDegrade bool
-	// ProfileGuided closes the measurement→placement loop across the
-	// whole campaign: every sharded point of a partitioner-aware model
-	// is rewritten to the "profiled" netlist partitioner, and before its
-	// sharded execution the point's single-kernel twin runs once through
-	// the shared cache (it is the same dated run, so it is
-	// cache-eligible and dedups against explicit single-kernel points),
-	// leaving the model's profile cache warm. The rewrite is a
-	// deterministic function of the expansion, so results stay
-	// byte-identical across worker counts.
-	ProfileGuided bool
 	// MaxActive bounds the campaigns an Engine runs concurrently:
 	// Submit returns ErrBusy beyond it. 0 means unbounded. Ignored by
 	// the synchronous Run.
@@ -187,11 +177,6 @@ type PointResult struct {
 	// WallMS is the point's host execution time. Nondeterministic:
 	// zeroed in the canonical results document (see Results.JSON).
 	WallMS float64 `json:"wall_ms,omitempty"`
-	// ProfileWallMS is the host time of the single-kernel profiling
-	// pre-run a profile-guided campaign executed for this point (0 when
-	// the twin was served from cache). Nondeterministic like WallMS:
-	// zeroed in the canonical results document.
-	ProfileWallMS float64 `json:"profile_wall_ms,omitempty"`
 }
 
 // Aggregate summarizes a campaign deterministically.
@@ -283,9 +268,6 @@ func expandChecked(set scenario.Set, maxPoints int) ([]scenario.Point, error) {
 // runPoints is the engine core: opt must be filled and points expanded
 // and within limits.
 func runPoints(ctx context.Context, name string, points []scenario.Point, opt Options) *Results {
-	if opt.ProfileGuided {
-		points = profileGuidedPoints(points)
-	}
 	res := &Results{Name: name, Points: make([]PointResult, len(points))}
 	// Group by hash: the lowest index computes, the rest copy.
 	canonical := map[string]int{}
@@ -392,76 +374,6 @@ func transient(err error) bool {
 		errors.Is(err, ErrAbandoned)
 }
 
-// profileGuidedPoints rewrites every sharded point of a
-// partitioner-aware model (a model whose key set includes
-// "partitioner") to the "profiled" partitioner, recomputing the
-// canonical hash. A pure, deterministic function of the expansion:
-// single-kernel points and models without a partitioner axis pass
-// through untouched.
-func profileGuidedPoints(points []scenario.Point) []scenario.Point {
-	out := make([]scenario.Point, len(points))
-	for i, pt := range points {
-		out[i] = pt
-		if shardsOf(pt.Params) < 2 {
-			continue
-		}
-		m, ok := scenario.Lookup(pt.Model)
-		if !ok || !hasKey(m.Keys, "partitioner") {
-			continue
-		}
-		params := pt.Params.Clone()
-		params["partitioner"] = "profiled"
-		hash, err := scenario.HashPoint(pt.Model, params)
-		if err != nil {
-			continue // unreachable: the original params hashed
-		}
-		out[i].Params = params
-		out[i].Hash = hash
-	}
-	return out
-}
-
-func hasKey(keys []string, k string) bool {
-	for _, key := range keys {
-		if key == k {
-			return true
-		}
-	}
-	return false
-}
-
-// profilePoint executes a profile-guided point's single-kernel twin —
-// the measurement phase. The twin is the same dated run (outcomes and
-// profiles are schedule-independent), so it flows through the shared
-// outcome cache like any point and dedups against explicit
-// single-kernel points of the sweep; executing it leaves the model's
-// process-wide profile cache warm for the sharded run that follows.
-// Twin failures are deliberately non-fatal: the sharded run re-profiles
-// inline if it must.
-func profilePoint(ctx context.Context, m scenario.Model, pt scenario.Point, opt Options, pr *PointResult, cacheHits *atomic.Int64) {
-	params := pt.Params.Clone()
-	params["shards"] = 1
-	delete(params, "partitioner")
-	hash, err := scenario.HashPoint(pt.Model, params)
-	if err != nil {
-		return
-	}
-	if _, hit := opt.Cache.Get(hash); hit {
-		cacheHits.Add(1)
-		return
-	}
-	start := time.Now()
-	out, err := safeRun(ctx, m, params, opt)
-	if err != nil {
-		return
-	}
-	pr.ProfileWallMS = float64(time.Since(start).Microseconds()) / 1000
-	if opt.Metrics != nil {
-		opt.Metrics.ProfileRuns.Inc()
-	}
-	opt.Cache.Put(hash, out)
-}
-
 // shardsOf reads a point's "shards" parameter (the convention every
 // shardable model follows); 1 when absent or malformed.
 func shardsOf(p scenario.Params) int {
@@ -541,9 +453,6 @@ func runOne(ctx context.Context, pr *PointResult, pt scenario.Point, opt Options
 		cacheHits.Add(1)
 		pr.Cached = true
 	} else {
-		if opt.ProfileGuided && shardsOf(pt.Params) > 1 {
-			profilePoint(ctx, model, pt, opt, pr, cacheHits)
-		}
 		out, err := runPoint(ctx, model, pt.Params, opt, pr)
 		if err != nil {
 			pr.Err = err.Error()

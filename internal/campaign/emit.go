@@ -94,7 +94,6 @@ func (r *Results) JSON(w io.Writer, includeTiming bool) error {
 // across restarts.
 func canonicalizePoint(p *PointResult) {
 	p.WallMS = 0
-	p.ProfileWallMS = 0
 	p.Attempts = 0
 	p.Cached = false
 }
@@ -102,8 +101,7 @@ func canonicalizePoint(p *PointResult) {
 // CSVColumns is the header of the per-point CSV emitted by WriteCSV.
 var CSVColumns = []string{"index", "model", "hash", "sim_end_ns", "ctx_switches",
 	"checksums", "dates_hash", "dedup", "cached", "checked", "check_diff", "degraded", "stalled",
-	"attempts", "error", "wall_ms", "profile_wall_ms",
-	"crossings_before", "crossings_after", "cut_weight_before", "cut_weight_after", "params"}
+	"attempts", "error", "wall_ms", "params"}
 
 // csvPointRow writes one point as a CSV record — shared by the buffered
 // WriteCSV and the streaming results path so the column order cannot
@@ -122,20 +120,10 @@ func csvPointRow(c *CSV, p *PointResult, includeTiming bool) error {
 		}
 	}
 	wall := p.WallMS
-	profWall := p.ProfileWallMS
 	attempts := p.Attempts
 	cached := p.Cached
 	if !includeTiming {
-		wall, profWall, attempts, cached = 0, 0, 0, false
-	}
-	// Placement-cost counters exist only on profile-guided points; zero
-	// everywhere else (the counters themselves are deterministic).
-	var cb, ca, wb, wa uint64
-	if p.Outcome != nil {
-		cb = p.Outcome.Counters["crossings_before"]
-		ca = p.Outcome.Counters["crossings_after"]
-		wb = p.Outcome.Counters["cut_weight_before"]
-		wa = p.Outcome.Counters["cut_weight_after"]
+		wall, attempts, cached = 0, 0, false
 	}
 	params, err := json.Marshal(p.Params)
 	if err != nil {
@@ -143,7 +131,7 @@ func csvPointRow(c *CSV, p *PointResult, includeTiming bool) error {
 	}
 	c.Row(p.Index, p.Model, p.Hash, simEnd, ctx, sums, dates,
 		p.Dedup, cached, p.Checked, p.CheckDiff, p.Degraded, p.Stall != nil,
-		attempts, p.Err, wall, profWall, cb, ca, wb, wa, string(params))
+		attempts, p.Err, wall, string(params))
 	return nil
 }
 

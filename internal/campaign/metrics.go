@@ -28,9 +28,6 @@ type Metrics struct {
 	Retries *metrics.Counter
 	// CacheHits counts points served from the shared outcome cache.
 	CacheHits *metrics.Counter
-	// ProfileRuns counts single-kernel profiling pre-runs executed by
-	// profile-guided campaigns (cache hits are not counted).
-	ProfileRuns *metrics.Counter
 	// ActiveWorkers gauges workers currently executing a point;
 	// ActiveCampaigns gauges engine jobs currently running.
 	ActiveWorkers   *metrics.Gauge
@@ -50,7 +47,6 @@ func NewMetrics(r *metrics.Registry) *Metrics {
 		PointsDegraded:  r.Counter("campaign_points_degraded_total", "Points served by the single-kernel quarantine rerun."),
 		Retries:         r.Counter("campaign_retries_total", "Extra attempts beyond each point's first."),
 		CacheHits:       r.Counter("campaign_cache_hits_total", "Points served from the shared outcome cache."),
-		ProfileRuns:     r.Counter("campaign_profile_runs_total", "Single-kernel profiling pre-runs executed by profile-guided campaigns."),
 		ActiveWorkers:   r.Gauge("campaign_active_workers", "Workers currently executing a point."),
 		ActiveCampaigns: r.Gauge("campaign_active_campaigns", "Engine campaigns currently running."),
 	}

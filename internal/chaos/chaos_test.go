@@ -77,7 +77,7 @@ func fingerprint(t *testing.T, w chaos.Workload, plan *chaos.Plan) uint64 {
 }
 
 // TestJitterDeterminism is the core soak: scheduling jitter around the
-// barrier steps must never change a single dated word. Three seeds, all
+// shard steps must never change a single dated word. Three seeds, all
 // byte-identical to the unperturbed run.
 func TestJitterDeterminism(t *testing.T) {
 	defer leakcheck.Check(t)()
@@ -91,9 +91,9 @@ func TestJitterDeterminism(t *testing.T) {
 	}
 }
 
-// TestDeferFlushDeterminism: withholding bridge flushes (delayed
-// delivery) must be invisible to dates — the coordinator bounds readers
-// by the staged frontier instead.
+// TestDeferFlushDeterminism: withholding bridge exchanges (delayed
+// delivery) must be invisible to dates — the previously published
+// bounds keep bounding the reader until the data crosses.
 func TestDeferFlushDeterminism(t *testing.T) {
 	defer leakcheck.Check(t)()
 	w := chaos.Workload{Stages: 4, Words: 200, Depth: 8, Shards: 3, Seed: 11}
@@ -117,15 +117,16 @@ func TestCombinedChaosDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardPanicJoin: when several shards panic in the same round, the
-// coordinator must join every panic value, not drop all but the first.
+// TestShardPanicJoin: when several shards panic before the same
+// rendezvous, the coordinator must join every panic value, not drop all
+// but the first.
 func TestShardPanicJoin(t *testing.T) {
 	defer leakcheck.Check(t)()
 	w := chaos.Workload{Stages: 4, Words: 64, Shards: 3, Seed: 1}
 	b, _ := w.Build()
 	defer b.Shutdown()
-	// Every thread starts runnable at date 0, so all three shards step
-	// in round 1; shards 0 and 2 both panic there.
+	// Every thread starts runnable at date 0, so all three shards take
+	// a first advance; shards 0 and 2 both panic at theirs.
 	b.Coord.SetHooks(chaos.Plan{PanicRound: 1, PanicShards: []int{0, 2}}.Hooks())
 	var rec any
 	func() {

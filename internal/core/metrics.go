@@ -10,13 +10,9 @@ import (
 // untouched — crossing counters are bumped only on the exchange paths
 // (stageOutboxLocked / deliverFreesLocked), which already hold the
 // mailbox lock and move whole batches, so the cost is one add per
-// FLUSH, not per word. Two layers feed off the same sites:
-//
-//   - shared metrics (BridgeMetrics): process-wide totals and the
-//     flush-batch-size histogram, for the /metrics scrape;
-//   - per-bridge raw counters (Traffic): always on, read through
-//     ShardedFIFO.Traffic — the per-channel feed a profile-guided
-//     partitioner needs to weight netlist edges by observed traffic.
+// FLUSH, not per word. They feed the shared metrics (BridgeMetrics):
+// process-wide totals and the flush-batch-size histogram, for the
+// /metrics scrape.
 
 // BridgeMetrics is the shared sink for cross-shard traffic. All fields
 // may be nil (updates no-op).
@@ -48,50 +44,4 @@ func EnableBridgeMetrics(r *metrics.Registry) {
 		FlushBatchWords: r.Histogram("core_bridge_flush_batch_words", "Words per writer-side staging flush.",
 			[]float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}),
 	})
-}
-
-// Traffic is one bridge's cumulative cross-boundary activity: the raw
-// per-channel counters ROADMAP item 5 (profile-guided partitioning)
-// weights netlist edges with.
-type Traffic struct {
-	// WordsCrossed counts payload words staged writer→reader;
-	// Flushes counts the staging flushes that carried them.
-	WordsCrossed uint64
-	Flushes      uint64
-	// CreditReturns counts freed-cell credits delivered reader→writer.
-	CreditReturns uint64
-}
-
-// Traffic returns the bridge's cumulative traffic counters. Safe to
-// call at any time (the counters move under the mailbox lock).
-func (f *ShardedFIFO[T]) Traffic() Traffic {
-	f.x.mu.Lock()
-	defer f.x.mu.Unlock()
-	return f.x.traffic
-}
-
-// ChanTraffic is one intra-shard channel's cumulative activity, the
-// local-channel mirror of the bridge Traffic feed. It is derived from
-// the Stats counters the hot word paths already maintain — no extra
-// work, no atomics — so it is always on.
-type ChanTraffic struct {
-	// WordsWritten and WordsRead count completed word transfers
-	// (burst transfers add their full length).
-	WordsWritten, WordsRead uint64
-	// WriterBlocks and ReaderBlocks count accesses that found the FIFO
-	// internally full (resp. empty) and had to context switch.
-	WriterBlocks, ReaderBlocks uint64
-}
-
-// Traffic returns the FIFO's cumulative traffic counters. Word and
-// block counts are dated-behaviour facts — identical under any
-// scheduler or partitioning of the same model — which is what lets a
-// profile harvested from one run re-weight the placement of another.
-func (f *SmartFIFO[T]) Traffic() ChanTraffic {
-	return ChanTraffic{
-		WordsWritten: f.stats.Writes,
-		WordsRead:    f.stats.Reads,
-		WriterBlocks: f.stats.WriterBlocks,
-		ReaderBlocks: f.stats.ReaderBlocks,
-	}
 }

@@ -29,11 +29,11 @@ import (
 //     local clock to the insertion date — and stages the freeing date for
 //     the writer.
 //
-// Flush, called only at coordinator barriers (no kernel running), moves the
-// outbox into the reader's cells and the freeing dates into the writer's
-// credit window, waking blocked endpoint processes. Because deliveries are
-// deferred to barriers, the endpoints' external views lag the real state by
-// at most one round — but every date carried is exact, so blocking
+// The exchange (each side's half between its own kernel's Steps, or Flush
+// at a global safe point) moves the outbox into the reader's cells and the
+// freeing dates into the writer's credit window, waking blocked endpoint
+// processes. Because deliveries are deferred to exchanges, the endpoints'
+// external views lag the real state — but every date carried is exact, so blocking
 // Read/Write produce local dates identical to a single-kernel SmartFIFO
 // (pinned by TestShardedFIFOMatchesSmart and the 1-vs-N-shard trace
 // equivalence tests). The two-test IsEmpty/IsFull rules and the dated Size
@@ -62,7 +62,7 @@ type ShardedFIFO[T any] struct {
 // its own kernel safe points (between Steps), so endpoint internals
 // never need locking. The published bounds let the reading shard derive
 // its horizon the moment the writer publishes one, without a global
-// barrier.
+// safe point.
 type xfer[T any] struct {
 	mu sync.Mutex
 
@@ -94,11 +94,9 @@ type xfer[T any] struct {
 	rFloorA atomic.Int64
 	wfA     atomic.Int64
 
-	// traffic accumulates this bridge's cross-boundary activity (under
-	// mu, on the flush paths only); m, captured at construction, is the
-	// optional shared metrics sink (see metrics.go).
-	traffic Traffic
-	m       *BridgeMetrics
+	// m, captured at construction, is the optional shared metrics sink
+	// (see metrics.go).
+	m *BridgeMetrics
 }
 
 // ShardedWriter is the writer-side endpoint, owned by the writer kernel.
@@ -165,7 +163,7 @@ func (r *ShardedReader[T]) readFloor() sim.Time {
 
 // NewSharded creates a sharded Smart FIFO with the given depth, its writer
 // side on kernel wk and its reader side on kernel rk. The two kernels may
-// be the same (a degenerate bridge, still flushed at barriers), which is
+// be the same (a degenerate bridge, still exchanged), which is
 // how a sharded model collapses onto one kernel for 1-shard validation
 // runs.
 func NewSharded[T any](wk, rk *sim.Kernel, name string, depth int) *ShardedFIFO[T] {
@@ -228,7 +226,7 @@ func (f *ShardedFIFO[T]) Stats() Stats {
 // Flush moves everything staged on either side across the shard boundary
 // — outbox and mailbox data to the reader, pending and mailbox credits to
 // the writer — and reports whether anything moved. It must be called only
-// at a global safe point (a coordinator barrier or all-parked rendezvous),
+// at a global safe point (an all-parked coordinator rendezvous),
 // while neither kernel is running. Both directions move as bulk ring
 // copies (≤ 2 contiguous segments each). It also refreshes the published
 // bounds, since a global safe point is trivially a safe point for each
@@ -254,10 +252,8 @@ func (f *ShardedFIFO[T]) stageOutboxLocked() bool {
 	}
 	x.data = append(x.data, w.outData...)
 	x.ins = append(x.ins, w.outIns...)
-	n := uint64(len(w.outData))
-	x.traffic.WordsCrossed += n
-	x.traffic.Flushes++
 	if x.m != nil {
+		n := uint64(len(w.outData))
 		x.m.WordsCrossed.Add(n)
 		x.m.FlushBatchWords.Observe(float64(n))
 	}
@@ -321,7 +317,6 @@ func (f *ShardedFIFO[T]) deliverFreesLocked() bool {
 	copyIn(wc.free, q0, x.frees)
 	wc.firstBusy = wrap(q0+k, wc.depth())
 	wc.nBusy -= k
-	x.traffic.CreditReturns += uint64(k)
 	if x.m != nil {
 		x.m.CreditReturns.Add(uint64(k))
 	}
@@ -507,7 +502,7 @@ func (f *ShardedFIFO[T]) AsyncBounds() (base, writeFrontier sim.Time) {
 
 // Frontier returns a lower bound on the insertion dates of everything the
 // bridge may still deliver: the reader's shard may safely simulate up to
-// and including this date. Call it only at a barrier, after Flush (an
+// and including this date. Call it only at a global safe point, after Flush (an
 // undelivered outbox entry could be older than the bound).
 //
 // The bound is the §III access discipline turned into lookahead — no null
@@ -550,26 +545,12 @@ func (f *ShardedFIFO[T]) Frontier() sim.Time {
 	return front
 }
 
-// StagedFrontier returns the minimum insertion date staged in the
-// writer-side outbox — data written but not yet flushed across the
-// boundary — and ok=false when nothing is staged. Insertion dates on a
-// side never decrease, so the first staged entry is the minimum. The
-// coordinator's deferred-flush injection (par.StagedBridge) uses it to
-// keep Frontier's bound honest when a Flush is withheld: undelivered
-// outbox entries can be older than Frontier, never older than this.
-func (f *ShardedFIFO[T]) StagedFrontier() (at sim.Time, ok bool) {
-	if len(f.w.outIns) == 0 {
-		return 0, false
-	}
-	return f.w.outIns[0], true
-}
-
 // WriteFrontier returns a lower bound on the resume date of any write
 // that blocks (now or later this round) on exhausted credits: the writer's
 // shard must not advance its kernel clock past this date, or a parked
 // writer's restored local date would be clamped to the kernel clock
 // (sim.Process.SetLocalDate cannot represent a local date in the global
-// past) and the §III dates would drift. Call it only at a barrier, after
+// past) and the §III dates would drift. Call it only at a global safe point, after
 // Flush, like Frontier.
 //
 // A blocked write resumes at max(its restore date, the freeing date of
@@ -810,7 +791,7 @@ func (w *ShardedWriter[T]) TryWrite(v T) bool {
 }
 
 // NotFull is the writer-side writable-event, notified at the freeing date
-// of the first available cell (as of the last barrier).
+// of the first available cell (as of the last exchange).
 func (w *ShardedWriter[T]) NotFull() *sim.Event { return w.notFull }
 
 // Size is the dated monitor count over the writer's mirror (§III-C rules).
@@ -1038,7 +1019,7 @@ func (r *ShardedReader[T]) TryRead() (T, bool) {
 }
 
 // NotEmpty is the reader-side readable-event, notified at the insertion
-// date of the first available datum (as of the last barrier).
+// date of the first available datum (as of the last exchange).
 func (r *ShardedReader[T]) NotEmpty() *sim.Event { return r.notEmpty }
 
 // Size is the dated monitor count over the reader's mirror (§III-C rules).

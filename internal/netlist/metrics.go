@@ -9,12 +9,8 @@ import (
 // Metrics is the shared sink for partitioning activity. All fields may
 // be nil (updates no-op).
 type Metrics struct {
-	// Repartitions counts profile-guided repartitions: sharded builds
-	// that re-weighted the unit graph with a measured profile.
-	Repartitions *metrics.Counter
-	// CutWeight is the summed edge weight cut by the most recent
-	// sharded placement (measured weight for profiled builds, hint
-	// weight otherwise), truncated to an integer.
+	// CutWeight is the summed hint edge weight cut by the most recent
+	// sharded placement, truncated to an integer.
 	CutWeight *metrics.Gauge
 }
 
@@ -30,7 +26,6 @@ func EnableMetrics(r *metrics.Registry) {
 		return
 	}
 	defaultNetlistMetrics.Store(&Metrics{
-		Repartitions: r.Counter("netlist_repartitions_total", "Profile-guided repartitions (sharded builds re-weighted by a measured profile)."),
-		CutWeight:    r.Gauge("netlist_cut_weight", "Summed edge weight cut by the most recent sharded placement."),
+		CutWeight: r.Gauge("netlist_cut_weight", "Summed edge weight cut by the most recent sharded placement."),
 	})
 }

@@ -19,26 +19,13 @@
 //     partitioner at every shard count yields the same dated logs as the
 //     single-kernel build (pinned by the package's trace-equivalence
 //     tests);
-//   - pluggable Partitioners (single, roundrobin, mincut, profiled)
-//     assign colocation units to shards; a traffic-weighted greedy
-//     min-cut minimizes bridge crossings.
+//   - pluggable Partitioners (single, roundrobin, mincut) assign
+//     colocation units to shards; a traffic-weighted greedy min-cut
+//     minimizes bridge crossings.
 //
 // Modules that must share a kernel (a bus and the cores behind it, a NoC
 // mesh and its network interfaces) declare a common colocation group; the
 // partitioner places each group as one unit.
-//
-// The "profiled" partitioner closes the loop from measured traffic to
-// placement: run the model once (typically single-kernel), harvest
-// Build.Profile — per-channel word counts and per-module dispatch
-// counts — and feed the artifact back through Options.Profile. Build
-// re-weights the unit graph with the measured counters, runs the same
-// greedy min-cut, and keeps the measured placement only when it
-// dominates the hint-driven one on both crossings and cut weight
-// (Build.Placement reports both costs). Profiles are
-// schedule-independent: word and dispatch counts are facts of the
-// model's dated behaviour, which every partitioning reproduces exactly,
-// so a profile harvested under any schedule is valid for every build of
-// the same model and never goes stale in a ProfileCache.
 package netlist
 
 import (
@@ -195,9 +182,6 @@ type chanDecl interface {
 	elabLocal(k *sim.Kernel, impl ChanImpl)
 	// elabBridge creates a cross-shard bridge from wk to rk.
 	elabBridge(wk, rk *sim.Kernel) par.Bridge
-	// profileTraffic reads the elaborated channel's traffic counters
-	// (see profile.go); ok is false when the implementation has none.
-	profileTraffic() (core.ChanTraffic, bool)
 }
 
 // Chan is a typed channel declaration: one writer port, one reader port, a
@@ -208,12 +192,9 @@ type Chan[T any] struct {
 	g *Graph
 	chanMeta
 
-	// Resolved endpoints, valid after Build; br is the bridge when the
-	// channel elaborated across a cut edge (its traffic counters feed
-	// Build.Profile).
-	w  fifo.WriteEnd[T]
-	r  fifo.ReadEnd[T]
-	br par.Bridge
+	// Resolved endpoints, valid after Build.
+	w fifo.WriteEnd[T]
+	r fifo.ReadEnd[T]
 }
 
 // AddChan declares a channel of the given depth.
@@ -361,7 +342,6 @@ func (c *Chan[T]) elabLocal(k *sim.Kernel, impl ChanImpl) {
 func (c *Chan[T]) elabBridge(wk, rk *sim.Kernel) par.Bridge {
 	b := core.NewSharded[T](wk, rk, c.name, c.depth)
 	c.w, c.r = b.Writer(), b.Reader()
-	c.br = b
 	return b
 }
 
@@ -375,11 +355,6 @@ type Options struct {
 	// Impl is the in-kernel channel implementation (default Smart). Only
 	// Smart builds can be sharded.
 	Impl ChanImpl
-	// Profile is the measured-traffic artifact consumed by the
-	// "profiled" partitioner (harvested from a prior run of the same
-	// model via Build.Profile). Required when Partitioner is Profiled
-	// and Shards > 1; ignored otherwise.
-	Profile *Profile
 }
 
 // Build is an elaborated graph: the kernels, the coordinator when sharded,
@@ -388,7 +363,7 @@ type Build struct {
 	// Kernels are the shards, in index order. Single-kernel builds have
 	// exactly one and no coordinator.
 	Kernels []*sim.Kernel
-	// Coord is the conservative barrier coordinator driving the shards;
+	// Coord is the conservative coordinator driving the shards;
 	// nil for single-kernel builds.
 	Coord *par.Coordinator
 	// Assignment maps module index to shard index.
@@ -400,14 +375,8 @@ type Build struct {
 	// Bridges names the channels that became bridges, in declaration
 	// order.
 	Bridges []string
-	// Placement is the before/after cost of a profile-guided build
-	// (measured weights); nil for every other partitioner.
-	Placement *PlacementCost
 
 	g *Graph
-	// procs records each module's elaborated processes (by module
-	// index) so Profile can attribute dispatch counts to modules.
-	procs [][]*sim.Process
 }
 
 // Build partitions the graph and elaborates it: kernels are created,
@@ -450,38 +419,7 @@ func (g *Graph) Build(opt Options) (*Build, error) {
 	if p == nil {
 		p = RoundRobin
 	}
-	var placement *PlacementCost
-	var ua []int
-	if p.Name() == Profiled.Name() && shards > 1 {
-		// The measurement→placement loop: cost the hint-driven greedy
-		// min-cut under the measured weights, cut the measured graph,
-		// and keep the measured placement only where it dominates the
-		// hint placement on both crossings and cut weight — so a
-		// profiled build never pays more than the static mincut would.
-		if opt.Profile == nil {
-			return nil, fmt.Errorf("netlist: %s: partitioner %q needs Options.Profile (run the model single-kernel and harvest Build.Profile)", g.name, p.Name())
-		}
-		mpg := g.measuredPartGraph(units, unitOf, opt.Profile)
-		aHint := greedyMinCut(pg, shards)
-		aMeas := greedyMinCut(mpg, shards)
-		cb, wb := cutOf(mpg, aHint)
-		ca, wa := cutOf(mpg, aMeas)
-		if ca <= cb && wa <= wb {
-			ua = aMeas
-		} else {
-			ua = aHint
-			ca, wa = cb, wb
-		}
-		placement = &PlacementCost{
-			CrossingsBefore: cb, CrossingsAfter: ca,
-			CutWeightBefore: wb, CutWeightAfter: wa,
-		}
-		if nm := defaultNetlistMetrics.Load(); nm != nil {
-			nm.Repartitions.Inc()
-		}
-	} else {
-		ua = p.Partition(pg, shards)
-	}
+	ua := p.Partition(pg, shards)
 	if len(ua) != len(units) {
 		return nil, fmt.Errorf("netlist: %s: partitioner %q returned %d assignments for %d units", g.name, p.Name(), len(ua), len(units))
 	}
@@ -491,12 +429,7 @@ func (g *Graph) Build(opt Options) (*Build, error) {
 		}
 	}
 
-	b := &Build{
-		g:          g,
-		Assignment: make([]int, len(g.modules)),
-		Placement:  placement,
-		procs:      make([][]*sim.Process, len(g.modules)),
-	}
+	b := &Build{g: g, Assignment: make([]int, len(g.modules))}
 	for mi := range g.modules {
 		b.Assignment[mi] = ua[unitOf[mi]]
 	}
@@ -531,21 +464,15 @@ func (g *Graph) Build(opt Options) (*Build, error) {
 	for _, m := range g.modules {
 		k := b.Kernels[b.Assignment[m.idx]]
 		if m.body != nil {
-			b.procs[m.idx] = append(b.procs[m.idx], k.Thread(m.name, m.body))
+			k.Thread(m.name, m.body)
 		}
 		if m.elab != nil {
-			before := len(k.Processes())
 			m.elab(k)
-			b.procs[m.idx] = append(b.procs[m.idx], k.Processes()[before:]...)
 		}
 	}
 	if shards > 1 {
 		if nm := defaultNetlistMetrics.Load(); nm != nil {
-			w := b.CutWeight
-			if b.Placement != nil {
-				w = b.Placement.CutWeightAfter
-			}
-			nm.CutWeight.Set(int64(w))
+			nm.CutWeight.Set(int64(b.CutWeight))
 		}
 	}
 	return b, nil

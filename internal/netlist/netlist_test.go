@@ -193,7 +193,7 @@ func TestDoubleBindPanics(t *testing.T) {
 // TestPartitionerRegistry pins names and the default.
 func TestPartitionerRegistry(t *testing.T) {
 	names := PartitionerNames()
-	want := []string{"mincut", "profiled", "roundrobin", "single"}
+	want := []string{"mincut", "roundrobin", "single"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)
 	}
@@ -239,4 +239,34 @@ func TestMinCutProperties(t *testing.T) {
 	if a[0] != a[1] || a[1] != a[2] || a[3] != a[4] || a[4] != a[5] || a[2] == a[3] {
 		t.Fatalf("mincut split cliques: %v", a)
 	}
+}
+
+// TestZeroWeightModulesSchedulable: WithWeight(0) modules still count as
+// one unit of schedulable work each, so a build of only zero-weight
+// modules still fills every shard.
+func TestZeroWeightModulesSchedulable(t *testing.T) {
+	g, _, _ := smallGraph(4, 2)
+	for _, m := range g.modules {
+		m.WithWeight(0)
+	}
+	b, err := g.Build(Options{Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := map[int]bool{}
+	for _, s := range b.Assignment {
+		used[s] = true
+	}
+	if len(used) != 3 {
+		t.Fatalf("zero-weight modules landed on %d of 3 shards: %v", len(used), b.Assignment)
+	}
+	b.Run(sim.RunForever)
+	b.Shutdown()
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("negative weight did not panic")
+		}
+	}()
+	New("neg").Thread("m", nil).WithWeight(-1)
 }

@@ -32,8 +32,7 @@ type PartGraph struct {
 // never changes dated results (bridges are date-exact); it only changes
 // how much traffic crosses shard boundaries.
 type Partitioner interface {
-	// Name is the registry key ("single", "roundrobin", "mincut",
-	// "profiled").
+	// Name is the registry key ("single", "roundrobin", "mincut").
 	Name() string
 	// Partition returns one shard index in [0, shards) per unit. Build
 	// guarantees 1 <= shards <= len(pg.Units).
@@ -82,27 +81,6 @@ type minCutPart struct{}
 func (minCutPart) Name() string { return "mincut" }
 
 func (minCutPart) Partition(pg PartGraph, shards int) []int {
-	return greedyMinCut(pg, shards)
-}
-
-// Profiled is the measured twin of MinCut: the same greedy min-cut, but
-// Build re-weights the unit graph with a measured Profile first — edges
-// carry observed word counts instead of hints, units carry observed
-// dispatch counts — and keeps the measured placement only where it
-// dominates the hint placement on both cut weight and crossings (so a
-// profiled build never cuts more than the static mincut would). Used
-// directly on an un-reweighted graph it behaves exactly like MinCut.
-var Profiled Partitioner = profiledPart{}
-
-type profiledPart struct{}
-
-func (profiledPart) Name() string { return "profiled" }
-
-func (profiledPart) Partition(pg PartGraph, shards int) []int {
-	return greedyMinCut(pg, shards)
-}
-
-func greedyMinCut(pg PartGraph, shards int) []int {
 	n := len(pg.Units)
 	// Merged adjacency and per-unit total traffic.
 	adj := make([]map[int]float64, n)
@@ -183,19 +161,6 @@ func greedyMinCut(pg PartGraph, shards int) []int {
 	return assign
 }
 
-// cutOf costs an assignment against a unit graph: how many edges it
-// cuts (one per channel, matching Build.Crossings) and their summed
-// weight.
-func cutOf(pg PartGraph, assign []int) (crossings int, weight float64) {
-	for _, e := range pg.Edges {
-		if e.A != e.B && assign[e.A] != assign[e.B] {
-			crossings++
-			weight += e.Weight
-		}
-	}
-	return crossings, weight
-}
-
 // keyLess reports whether candidate key b beats a (lexicographic,
 // larger-is-better).
 func keyLess(a, b [3]float64) bool {
@@ -213,7 +178,6 @@ var partitioners = map[string]Partitioner{
 	Single.Name():     Single,
 	RoundRobin.Name(): RoundRobin,
 	MinCut.Name():     MinCut,
-	Profiled.Name():   Profiled,
 }
 
 // PartitionerNames returns the registered partitioner names, sorted.

@@ -2,7 +2,7 @@ package par_test
 
 // Edge cases of the asynchronous frontier-driven scheduler: frontier
 // publication racing Interrupt, the credit-blocked write-frontier cap,
-// the global-minimum fallback, and barrier/async date equivalence. Run
+// the global-minimum fallback, and async/single-kernel date equivalence. Run
 // with -race: these tests exist to expose cross-worker ordering bugs.
 
 import (
@@ -19,11 +19,19 @@ import (
 // buildChain assembles the three-stage, two-bridge chain used by the
 // async tests on three fresh shards and returns the coordinator plus the
 // sink's dated trace.
-func buildChain(n int) (*par.Coordinator, *trace.Recorder) {
+func buildChain(n int) (*par.Coordinator, *trace.Recorder) { return buildChainOn(n, 3) }
+
+// buildChainOn is buildChain over 3 shards, or over 1 shard whose two
+// bridges are self-bridges.
+func buildChainOn(n, shards int) (*par.Coordinator, *trace.Recorder) {
 	rec := trace.NewRecorder()
-	k1, k2, k3 := sim.NewKernel("s0"), sim.NewKernel("s1"), sim.NewKernel("s2")
+	k1 := sim.NewKernel("s0")
+	k2, k3 := k1, k1
+	if shards > 1 {
+		k2, k3 = sim.NewKernel("s1"), sim.NewKernel("s2")
+	}
 	c := par.NewCoordinator()
-	for _, k := range []*sim.Kernel{k1, k2, k3} {
+	for _, k := range []*sim.Kernel{k1, k2, k3}[:shards] {
 		c.AddShard(k)
 	}
 	f1 := core.NewSharded[int](k1, k2, "c1", 8)
@@ -84,35 +92,25 @@ func chainRef(n int) *trace.Recorder {
 	return rec
 }
 
-// TestBarrierMatchesAsyncDates pins the scheduler-equivalence contract:
-// the forced barrier scheduler and the default async one produce traces
-// byte-identical to each other and to the single-kernel reference.
-func TestBarrierMatchesAsyncDates(t *testing.T) {
+// TestAsyncMatchesSingleKernelDates pins the scheduler's exactness
+// contract: the chain sharded over three kernels, and the same chain with
+// every endpoint on one kernel (self-bridges on a one-shard coordinator,
+// which takes the same scheduler), produce traces byte-identical to the
+// single-kernel SmartFIFO reference.
+func TestAsyncMatchesSingleKernelDates(t *testing.T) {
 	defer leakcheck.Check(t)()
 	const n = 400
 	ref := chainRef(n)
-
-	async, asyncRec := buildChain(n)
-	async.Run(sim.RunForever)
-	defer async.Shutdown()
-	if d := trace.Diff(ref, asyncRec); d != "" {
-		t.Fatalf("async trace differs from single-kernel reference:\n%s", d)
-	}
-
-	barrier, barrierRec := buildChain(n)
-	barrier.SetBarrier(true)
-	barrier.Run(sim.RunForever)
-	defer barrier.Shutdown()
-	if d := trace.Diff(ref, barrierRec); d != "" {
-		t.Fatalf("barrier trace differs from single-kernel reference:\n%s", d)
-	}
-	// The barrier scheduler dispatches every advance from a rendezvous;
-	// the async one mostly advances between rendezvous.
-	if st := barrier.Stats(); st.Rounds == 0 || st.Advances == 0 {
-		t.Errorf("barrier run recorded no work: %+v", st)
-	}
-	if st := async.Stats(); st.Advances == 0 {
-		t.Errorf("async run recorded no advances: %+v", st)
+	for _, shards := range []int{3, 1} {
+		c, rec := buildChainOn(n, shards)
+		c.Run(sim.RunForever)
+		defer c.Shutdown()
+		if d := trace.Diff(ref, rec); d != "" {
+			t.Fatalf("%d-shard trace differs from single-kernel reference:\n%s", shards, d)
+		}
+		if st := c.Stats(); st.Advances == 0 {
+			t.Errorf("%d-shard run recorded no advances: %+v", shards, st)
+		}
 	}
 }
 

@@ -48,7 +48,7 @@ func (e *StallError) Error() string {
 
 func (e *StallError) Unwrap() error { return e.Cause }
 
-// StallDiagnostic is a barrier-consistent snapshot of a stopped
+// StallDiagnostic is a rendezvous-consistent snapshot of a stopped
 // simulation: what every shard was waiting on and where every bridge's
 // frontiers stood. It is collected only after the interrupted run has
 // returned, when no kernel is executing, so it is exact — not a racy
@@ -56,7 +56,7 @@ func (e *StallError) Unwrap() error { return e.Cause }
 type StallDiagnostic struct {
 	// Advances is the number of kernel Step dispatches that found work,
 	// summed over the shards (0 for single-kernel runs) — the
-	// scheduler-neutral unit of coordinator progress (Stats.Advances).
+	// unit of coordinator progress (Stats.Advances).
 	Advances uint64 `json:"advances"`
 	// GlobalNow is the conservative global date at the stop.
 	GlobalNow sim.Time `json:"global_now"`
@@ -313,7 +313,7 @@ func guard(ctx context.Context, t interruptible, stall time.Duration, body func(
 // is cancelled or its deadline passes, or when no shard makes progress
 // for a full stall window (stall <= 0 disables the watchdog). It
 // returns nil on completion, ctx.Err() on plain cancellation, and a
-// *StallError with a barrier-consistent StallDiagnostic on deadline or
+// *StallError with a rendezvous-consistent StallDiagnostic on deadline or
 // stall. With a background ctx and no stall window it is exactly Run.
 func (c *Coordinator) RunGuarded(ctx context.Context, limit sim.Time, stall time.Duration) error {
 	return guard(ctx, coordTarget{c}, stall, func() { c.Run(limit) })

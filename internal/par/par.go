@@ -10,7 +10,7 @@
 //
 //  1. exchange — for every inbound bridge, publish freed-cell credits and
 //     import delivered data; for every outbound bridge, stage written data
-//     and publish the frontier bound (AsyncBridge's locked, directional
+//     and publish the frontier bound (Bridge's locked, directional
 //     halves of Flush). Peers whose inputs changed are poked awake;
 //  2. horizon — the minimum over the inbound bridges' effective frontiers
 //     — a lower bound on the insertion dates of anything that can still
@@ -43,29 +43,25 @@
 // pushes far ahead of its kernel's date) bounds all future traffic on the
 // bridge. A shard runs ahead of the global date exactly as far as the
 // paper's cell timestamps prove safe, and blocking bridge accesses
-// reproduce single-kernel Smart-FIFO dates bit for bit — under either
-// scheduler, since every published bound is conservative no matter when
-// it is observed.
+// reproduce single-kernel Smart-FIFO dates bit for bit, since every
+// published bound is conservative no matter when it is observed.
 //
-// The legacy all-shard barrier scheduler is retained (SetBarrier, and
-// automatically when a bridge does not implement AsyncBridge): it flushes
-// every bridge, bounds every shard, and steps the runnable ones in
-// lockstep rounds. Single-shard coordinators always take it — there is
-// nothing to overlap.
+// The same scheduler runs every shard count: a single-shard coordinator
+// (self-bridges only, the degenerate mapping every sharded model
+// supports) is one worker plus the rendezvous.
 package par
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/sim"
 )
 
 // Bridge is a cross-shard channel. core.ShardedFIFO implements it; any
-// channel that can report a conservative frontier and deliver at barriers
-// can participate.
+// channel that can report a conservative frontier, deliver at global
+// safe points, and split its exchange into two directional halves can
+// participate.
 type Bridge interface {
 	// Name identifies the bridge in diagnostics.
 	Name() string
@@ -74,7 +70,7 @@ type Bridge interface {
 	// ReaderKernel is the shard that consumes from the bridge.
 	ReaderKernel() *sim.Kernel
 	// Frontier returns a lower bound on the dates of all future
-	// deliveries. Called only at global safe points (barriers and
+	// deliveries. Called only at global safe points (all-parked
 	// rendezvous), after Flush. sim.TimeMax means the bridge can never
 	// deliver again.
 	Frontier() sim.Time
@@ -90,23 +86,39 @@ type Bridge interface {
 	// Flush moves staged data across the boundary and reports whether
 	// anything moved. Called only at global safe points.
 	Flush() bool
+	// FlushWriterSide is the writer shard's half of an exchange, safe
+	// to call from the writer shard's worker while the reader shard
+	// keeps running: stage the outbox, import freed-cell credits, and
+	// publish the frontier base — or, with deferData set (the
+	// DeferFlush injection), skip the exchange entirely and leave the
+	// previously published (still valid) bounds in place. It returns
+	// the current write-frontier bound plus two publication grades:
+	// data when words were staged (can make a reader process runnable),
+	// bound when only a frontier bound was raised (useful solely to a
+	// horizon-capped reader shard).
+	FlushWriterSide(deferData bool) (writeFrontier sim.Time, data, bound bool)
+	// FlushReaderSide is the reader shard's half, safe to call from the
+	// reader shard's worker while the writer shard keeps running:
+	// publish freed-cell credits and the pop floor, import delivered
+	// data, and return the effective inbound frontier (monotone across
+	// calls) plus the graded publication flags: credit when freed cells
+	// crossed against a writer-published full window (can make a
+	// credit-parked writer process runnable), bound for any credit or
+	// floor publication.
+	FlushReaderSide() (frontier sim.Time, credit, bound bool)
 }
 
-// Stats counts coordinator activity. The counters are scheduler-neutral:
-// they are meaningful under both the async frontier-driven scheduler and
-// the legacy barrier scheduler, but their values depend on goroutine
-// interleaving under the async one — report them as performance
-// telemetry, never as part of a deterministic model output.
+// Stats counts coordinator activity. The values depend on goroutine
+// interleaving — report them as performance telemetry, never as part of
+// a deterministic model output.
 type Stats struct {
 	// Advances counts kernel Step dispatches that found work, summed
-	// over the shards — the scheduler-neutral unit of progress (a
-	// barrier round advances every selected shard once; the async
-	// scheduler advances shards independently).
+	// over the shards — the unit of progress (shards advance
+	// independently).
 	Advances uint64
-	// Rounds counts global rendezvous that dispatched work: barrier
-	// rounds under the barrier scheduler, all-parked rendezvous under
-	// the async one (where most progress happens between rendezvous,
-	// so Rounds is far below Advances).
+	// Rounds counts all-parked rendezvous that dispatched work. Most
+	// progress happens between rendezvous, so Rounds is far below
+	// Advances.
 	Rounds uint64
 	// Flushes counts bridge exchanges that moved data or credits across
 	// a shard boundary, or raised a published bound.
@@ -120,8 +132,8 @@ type Stats struct {
 	Fallbacks uint64
 }
 
-// counters is the internal, atomically updated form of Stats: the async
-// scheduler's workers bump them concurrently.
+// counters is the internal, atomically updated form of Stats: the shard
+// workers bump them concurrently.
 type counters struct {
 	advances  atomic.Uint64
 	rounds    atomic.Uint64
@@ -135,17 +147,13 @@ type shard struct {
 	idx      int
 	inbound  []Bridge
 	outbound []Bridge
-	// aIn/aOut are the async views of inbound/outbound (nil entries when
-	// a bridge lacks them — the coordinator then stays on the barrier
-	// scheduler); inPeer/outPeer are the peer shard indices, for pokes.
-	aIn     []AsyncBridge
-	aOut    []AsyncBridge
+	// inPeer/outPeer are the peer shard indices of inbound/outbound,
+	// for pokes.
 	inPeer  []int
 	outPeer []int
 	horizon sim.Time
-	run     bool          // selected to run this round/rendezvous
-	advs    uint64        // per-shard advance ordinal (worker-local)
-	work    chan sim.Time // persistent worker's horizon feed (barrier multi-shard runs)
+	run     bool   // selected to run at this rendezvous
+	advs    uint64 // per-shard advance ordinal (worker-local)
 }
 
 // Coordinator drives a set of shards to global quiescence.
@@ -156,26 +164,11 @@ type Coordinator struct {
 	ctr      counters
 	running  bool
 
-	// asyncOK is true while every registered bridge supports the
-	// frontier-driven scheduler; barrierOnly forces the legacy barrier
-	// scheduler regardless (SetBarrier).
-	asyncOK     bool
-	barrierOnly bool
-
-	// Round barrier state, shared with the shard workers (barrier mode).
-	wg        sync.WaitGroup
-	panicMu   sync.Mutex
-	panicVals []any
-
 	// intr is the coordinator-level interrupt latch (see Interrupt).
 	intr atomic.Bool
 
-	// hooks is the fault-injection surface (nil in production);
-	// deferred marks bridges whose Flush the hook withheld this round
-	// (barrier mode only; the async scheduler withholds the writer-side
-	// exchange instead).
-	hooks    *Hooks
-	deferred map[Bridge]bool
+	// hooks is the fault-injection surface (nil in production).
+	hooks *Hooks
 
 	// m is the optional shared metrics sink, captured at construction
 	// (metrics.go); tl is the scheduler timeline recording the next Run
@@ -192,22 +185,19 @@ type Coordinator struct {
 type Hooks struct {
 	// BeforeStep runs on the shard's worker goroutine immediately before
 	// Kernel.Step. It may sleep (scheduling jitter) or panic (an induced
-	// shard failure); it must not touch kernel state. round is the
-	// barrier round under the barrier scheduler and the shard's own
-	// advance ordinal (1-based) under the async one — either way, "the
-	// shard's first step at or after round R" is well-defined. Hooks
-	// must be safe for concurrent calls from different shard workers.
-	BeforeStep func(shard int, k *sim.Kernel, round uint64)
-	// DeferFlush, when it returns true, withholds the bridge's delivery
-	// once: under the barrier scheduler the whole Flush is skipped and
-	// the coordinator bounds the reader with the bridge's staged
-	// frontier instead; under the async scheduler the writer shard's
-	// half of the exchange is withheld, leaving the previously published
-	// (still valid) bounds in place. Either way the delay never changes
-	// dates, and withheld bridges are force-flushed at the next global
-	// safe point before the coordinator concludes anything about
-	// quiescence. Hooks must be safe for concurrent calls.
-	DeferFlush func(b Bridge, round uint64) bool
+	// shard failure); it must not touch kernel state. advance is the
+	// shard's own advance ordinal (1-based), so "the shard's first step
+	// at or after advance R" is well-defined. Hooks must be safe for
+	// concurrent calls from different shard workers.
+	BeforeStep func(shard int, k *sim.Kernel, advance uint64)
+	// DeferFlush, when it returns true, withholds the writer shard's
+	// half of one exchange on outbound bridge b, leaving the previously
+	// published (still valid) bounds in place. The delay never changes
+	// dates, and every bridge is force-flushed at the next all-parked
+	// rendezvous before the coordinator concludes anything about
+	// quiescence. advance is the writer shard's advance ordinal. Hooks
+	// must be safe for concurrent calls.
+	DeferFlush func(b Bridge, advance uint64) bool
 }
 
 // SetHooks installs (or, with nil, removes) the fault-injection hooks.
@@ -219,19 +209,10 @@ func (c *Coordinator) SetHooks(h *Hooks) {
 	c.hooks = h
 }
 
-// StagedBridge is the optional bridge extension the deferred-flush
-// injection relies on: a lower bound on the insertion dates of data
-// staged but not yet flushed. core.ShardedFIFO implements it. A bridge
-// without it is never deferred.
-type StagedBridge interface {
-	// StagedFrontier returns the minimum insertion date staged in the
-	// writer-side outbox, and ok=false when nothing is staged.
-	StagedFrontier() (at sim.Time, ok bool)
-}
-
 // Interrupt asks the coordinator and every shard kernel to stop at the
-// next safe point (the current barrier round completes first). Safe from
-// any goroutine. The latch persists until ClearInterrupt.
+// next safe point: in-flight Steps return at their kernel's next safe
+// point, and Run returns at the all-parked rendezvous that follows. Safe
+// from any goroutine. The latch persists until ClearInterrupt.
 func (c *Coordinator) Interrupt() {
 	c.intr.Store(true)
 	for _, s := range c.shards {
@@ -267,15 +248,16 @@ func (c *Coordinator) Progress() uint64 {
 	return p
 }
 
-// PanicSet carries the panic values of every shard that failed in one
-// barrier round, joined so no secondary failure is masked. It is the
-// value Run re-panics when more than one shard panicked.
+// PanicSet carries the panic values of every shard that failed before
+// the same all-parked rendezvous, joined so no secondary failure is
+// masked. It is the value Run re-panics when more than one shard
+// panicked.
 type PanicSet []any
 
 // Error formats all joined panics; PanicSet satisfies error so recovered
 // values print usefully through %v.
 func (p PanicSet) Error() string {
-	s := fmt.Sprintf("par: %d shards panicked in one round:", len(p))
+	s := fmt.Sprintf("par: %d shards panicked before one rendezvous:", len(p))
 	for i, v := range p {
 		s += fmt.Sprintf(" [%d] %v;", i, v)
 	}
@@ -286,21 +268,8 @@ func (p PanicSet) Error() string {
 func NewCoordinator() *Coordinator {
 	return &Coordinator{
 		byKernel: make(map[*sim.Kernel]*shard),
-		asyncOK:  true,
 		m:        defaultSchedMetrics.Load(),
 	}
-}
-
-// SetBarrier forces (or, with false, releases) the legacy all-shard
-// barrier scheduler even when every bridge supports the asynchronous
-// frontier-driven one — for scheduler comparisons (cmd/parlat) and
-// debugging. Must not be called while Run is in progress. Dates are
-// byte-identical under both schedulers.
-func (c *Coordinator) SetBarrier(on bool) {
-	if c.running {
-		panic("par: SetBarrier called while running")
-	}
-	c.barrierOnly = on
 }
 
 // AddShard registers a kernel as a shard. Every kernel referenced by a
@@ -316,7 +285,7 @@ func (c *Coordinator) AddShard(k *sim.Kernel) {
 
 // AddBridge registers a cross-shard channel. Both endpoint kernels must
 // already be shards; they may be the same shard (a degenerate bridge,
-// still flushed at barriers — how an N-shard model collapses to 1 shard).
+// still exchanged — how an N-shard model collapses to 1 shard).
 func (c *Coordinator) AddBridge(b Bridge) {
 	r, ok := c.byKernel[b.ReaderKernel()]
 	if !ok {
@@ -327,14 +296,8 @@ func (c *Coordinator) AddBridge(b Bridge) {
 		panic(fmt.Sprintf("par: bridge %q: writer kernel %q is not a shard", b.Name(), b.WriterKernel().Name()))
 	}
 	r.inbound = append(r.inbound, b)
-	w.outbound = append(w.outbound, b)
-	ab, isAsync := b.(AsyncBridge)
-	if !isAsync {
-		c.asyncOK = false
-	}
-	r.aIn = append(r.aIn, ab)
 	r.inPeer = append(r.inPeer, w.idx)
-	w.aOut = append(w.aOut, ab)
+	w.outbound = append(w.outbound, b)
 	w.outPeer = append(w.outPeer, r.idx)
 	c.bridges = append(c.bridges, b)
 }
@@ -391,9 +354,8 @@ func (c *Coordinator) Now() sim.Time {
 // Run executes the shards until global quiescence, or — with
 // limit >= 0 — until no shard has activity dated at or before limit.
 // Like Kernel.Run it may be called again to resume with a larger limit.
-// Multi-shard runs whose bridges all support AsyncBridge take the
-// frontier-driven scheduler (see the package doc) unless SetBarrier
-// forced the legacy barrier one; dates are identical either way.
+// Every shard count takes the frontier-driven scheduler (see the package
+// doc).
 func (c *Coordinator) Run(limit sim.Time) {
 	if c.running {
 		panic("par: Run called re-entrantly")
@@ -419,72 +381,13 @@ func (c *Coordinator) Run(limit sim.Time) {
 			}
 		}()
 	}
-	if len(c.shards) > 1 && c.asyncOK && !c.barrierOnly {
-		c.runAsync(limit)
-		return
-	}
-	if len(c.shards) > 1 {
-		// One persistent worker goroutine per shard for the whole run:
-		// barrier rounds are frequent (one per exhausted lookahead), so
-		// spawning goroutines per round would tax exactly the path the
-		// parallel speedup depends on.
-		c.startWorkers()
-		defer c.stopWorkers()
-	}
-
-	for {
-		// Cooperative abort: an Interrupt latched during the previous
-		// round (every shard kernel is latched too, so in-flight Steps
-		// returned at their next safe point) ends the run at the
-		// barrier, where all state is consistent and diagnosable.
-		if c.intr.Load() {
-			return
-		}
-		// Barrier: deliver everything staged during the previous round,
-		// then bound each shard by its inbound frontiers. Flushing first
-		// makes Frontier's bound cover all undelivered traffic.
-		c.flushBridges(false)
-		work := c.selectByFrontiers(limit)
-		if work == 0 {
-			// A deferred flush may be hiding the only deliverable work:
-			// force everything across and re-derive the horizons before
-			// concluding anything about quiescence or frozen frontiers.
-			if len(c.deferred) > 0 {
-				c.flushBridges(true)
-				continue
-			}
-			if work = c.fallback(limit); work == 0 {
-				return
-			}
-			c.ctr.fallbacks.Add(1)
-			if c.m != nil {
-				c.m.Fallbacks.Inc()
-			}
-			if c.tl != nil {
-				c.tl.mark(c.tl.coordRow(), tlFallback, 0)
-			}
-		}
-		c.ctr.rounds.Add(1)
-		c.ctr.advances.Add(uint64(work))
-		if c.m != nil {
-			c.m.Rendezvous.Inc()
-			c.m.Advances.Add(uint64(work))
-		}
-		if tl := c.tl; tl != nil {
-			t0 := time.Now()
-			c.runRound()
-			tl.span(tl.coordRow(), tlRound, t0, time.Now(), int64(work))
-			continue
-		}
-		c.runRound()
-	}
+	c.runAsync(limit)
 }
 
 // selectByFrontiers recomputes every shard's horizon from its bridges'
 // published bounds and marks the shards holding an event inside it,
 // returning how many there are. Called only at global safe points, after
-// the bridges were flushed (or, for deferred ones, with their staged
-// frontier folded in).
+// the bridges were flushed.
 func (c *Coordinator) selectByFrontiers(limit sim.Time) int {
 	work := 0
 	for _, s := range c.shards {
@@ -492,22 +395,12 @@ func (c *Coordinator) selectByFrontiers(limit sim.Time) int {
 		// events dated before its bridges' frontiers. An inclusive
 		// bound would let a non-blocking (method/Try) reader poll at
 		// date D before a word inserted exactly at D has crossed the
-		// barrier — a visibility miss a single-kernel Smart FIFO
+		// boundary — a visibility miss a single-kernel Smart FIFO
 		// cannot have. (Blocking access is indifferent: a parked
 		// reader advances to the datum's exact date either way.)
 		h := sim.TimeMax
 		for _, b := range s.inbound {
-			f := b.Frontier()
-			// A bridge whose Flush was withheld by the chaos hook
-			// may still hold staged data older than its frontier;
-			// bound the reader by the staged dates so the deferral
-			// can never cause a visibility miss.
-			if c.deferred[b] {
-				if at, ok := b.(StagedBridge).StagedFrontier(); ok && at < f {
-					f = at
-				}
-			}
-			if f < h {
+			if f := b.Frontier(); f < h {
 				h = f
 			}
 		}
@@ -562,111 +455,13 @@ func (c *Coordinator) fallback(limit sim.Time) int {
 	return work
 }
 
-// flushBridges flushes every bridge, honouring the DeferFlush injection
-// hook unless force is set. Only bridges that can report a staged
-// frontier (StagedBridge) are ever deferred: the horizon computation
-// needs that bound to keep the delay invisible to dates.
-func (c *Coordinator) flushBridges(force bool) {
+// flushBridges flushes every bridge — the rendezvous force-flush that
+// delivers anything a DeferFlush injection withheld.
+func (c *Coordinator) flushBridges() {
 	for _, b := range c.bridges {
-		if !force && c.hooks != nil && c.hooks.DeferFlush != nil {
-			if _, ok := b.(StagedBridge); ok && c.hooks.DeferFlush(b, c.ctr.rounds.Load()) {
-				if c.deferred == nil {
-					c.deferred = make(map[Bridge]bool)
-				}
-				c.deferred[b] = true
-				continue
-			}
-		}
-		delete(c.deferred, b)
 		if b.Flush() {
 			c.ctr.flushes.Add(1)
 		}
-	}
-}
-
-// startWorkers spawns one long-lived goroutine per shard; each waits for
-// a horizon on its channel, steps its kernel, and signals the round
-// WaitGroup. The channel send / WaitGroup barrier provide the
-// happens-before edges between a shard's round and the next flush;
-// shards share no mutable state while running.
-func (c *Coordinator) startWorkers() {
-	for _, s := range c.shards {
-		s.work = make(chan sim.Time)
-		go func(s *shard, work <-chan sim.Time) {
-			for h := range work {
-				c.stepShard(s, h)
-			}
-		}(s, s.work)
-	}
-}
-
-func (c *Coordinator) stopWorkers() {
-	for _, s := range c.shards {
-		close(s.work)
-		s.work = nil
-	}
-}
-
-// stepShard runs one shard's round, capturing a model panic so the
-// barrier still completes; Run re-panics on the caller's goroutine —
-// every captured value, joined, so a second shard's failure in the same
-// round is never masked by the first.
-func (c *Coordinator) stepShard(s *shard, h sim.Time) {
-	defer c.wg.Done()
-	defer func() {
-		if r := recover(); r != nil {
-			c.panicMu.Lock()
-			c.panicVals = append(c.panicVals, r)
-			c.panicMu.Unlock()
-		}
-	}()
-	if c.hooks != nil && c.hooks.BeforeStep != nil {
-		c.hooks.BeforeStep(s.idx, s.k, c.ctr.rounds.Load())
-	}
-	if tl := c.tl; tl != nil {
-		t0 := time.Now()
-		s.k.Step(stepLimit(h))
-		tl.span(s.idx, tlStep, t0, time.Now(), int64(c.ctr.rounds.Load()))
-		return
-	}
-	s.k.Step(stepLimit(h))
-}
-
-// runRound advances every selected shard to its horizon, concurrently.
-func (c *Coordinator) runRound() {
-	var single *shard
-	n := 0
-	for _, s := range c.shards {
-		if s.run {
-			single = s
-			n++
-		}
-	}
-	if n == 1 {
-		// Only one shard has work: step it inline, skipping the barrier.
-		// The injection hook still fires — a chaos-induced panic here
-		// propagates directly, like any single-kernel model panic.
-		if c.hooks != nil && c.hooks.BeforeStep != nil {
-			c.hooks.BeforeStep(single.idx, single.k, c.ctr.rounds.Load())
-		}
-		single.k.Step(stepLimit(single.horizon))
-		return
-	}
-	for _, s := range c.shards {
-		if !s.run {
-			continue
-		}
-		c.wg.Add(1)
-		s.work <- s.horizon
-	}
-	c.wg.Wait()
-	if len(c.panicVals) > 0 {
-		vals := c.panicVals
-		c.panicVals = nil
-		if len(vals) == 1 {
-			panic(vals[0])
-		}
-		panic(PanicSet(vals))
 	}
 }
 

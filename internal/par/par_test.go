@@ -187,7 +187,7 @@ func TestShardedChain(t *testing.T) {
 // contract: a process that advances time freely (a poller) on the reading
 // shard is bounded by the inbound frontier, so its shard advances in
 // step with the writer instead of blasting ahead — visible as many
-// barrier rounds instead of one. All mutable state stays shard-local;
+// advances instead of one. All mutable state stays shard-local;
 // only the bridge crosses the boundary.
 func TestCoordinatorHorizonThrottlesFreeRunner(t *testing.T) {
 	const n = 50

@@ -92,9 +92,7 @@ type Config struct {
 	// instead of silently clamping.
 	Shards int
 	// Partitioner names the netlist partitioner assigning modules to
-	// shards: "single", "roundrobin" (default), "mincut" or "profiled"
-	// (two-phase: a single-kernel run of the same config harvests a
-	// measured traffic profile, then the sharded build places by it).
+	// shards: "single", "roundrobin" (default) or "mincut".
 	Partitioner string
 	// Burst, when > 1, moves words through the FIFOs in chunks of up to
 	// Burst words: the burst-dominated configuration of the §IV-C
@@ -166,9 +164,6 @@ type Result struct {
 	Shards    int
 	Advances  uint64
 	Crossings int
-	// Placement is the before/after placement cost of a profiled run
-	// (nil for every other partitioner).
-	Placement *netlist.PlacementCost
 }
 
 // delayer abstracts the annotation style of a process.
@@ -192,9 +187,6 @@ func Run(cfg Config) Result {
 // fires, returning the guard's error with all model goroutines shut
 // down.
 func RunCtx(ctx context.Context, cfg Config) (Result, error) {
-	// Custom rate functions are not comparable, so only default-rate
-	// configs are profile-cache keyable.
-	cacheable := cfg.SourceRate == nil && cfg.TransmitRate == nil && cfg.SinkRate == nil
 	cfg.fill()
 	nShards := cfg.Shards
 	if nShards < 1 {
@@ -203,98 +195,7 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 	if nShards > 1 && cfg.Mode != TDfull {
 		panic(fmt.Sprintf("pipeline: mode %v cannot be sharded (only TDfull carries the Smart-FIFO dates)", cfg.Mode))
 	}
-	part, err := netlist.PartitionerByName(cfg.Partitioner)
-	if err != nil {
-		panic(fmt.Sprintf("pipeline: %v", err))
-	}
-	impl := netlist.Plain
-	if cfg.Mode == TDfull {
-		impl = netlist.Smart
-	}
 
-	var prof *netlist.Profile
-	if part.Name() == netlist.Profiled.Name() && nShards > 1 {
-		if prof, err = profileFor(ctx, cfg, cacheable); err != nil {
-			return Result{}, err
-		}
-	}
-
-	g, res, ends := modelGraph(cfg)
-	b, err := g.Build(netlist.Options{Shards: nShards, Partitioner: part, Impl: impl, Profile: prof})
-	if err != nil {
-		panic(fmt.Sprintf("pipeline: %v", err))
-	}
-
-	start := time.Now()
-	if err := b.RunGuarded(ctx, sim.RunForever); err != nil {
-		b.Shutdown()
-		return Result{}, err
-	}
-	res.Wall = time.Since(start)
-	res.Stats = b.Stats()
-	res.Shards = b.Shards()
-	res.Advances = b.Advances()
-	res.Crossings = b.Crossings
-	res.Placement = b.Placement
-	// Opportunistic harvest: a completed single-kernel TDfull run is a
-	// valid profiling run (profiles are schedule-independent), so keep
-	// its counters for a later profile-guided build of the same config.
-	if cacheable && res.Shards == 1 && cfg.Mode == TDfull {
-		pipeProfiles.Put(profileKey{cfg.Depth, cfg.Blocks, cfg.WordsPerBlock, cfg.Burst, cfg.Seed}, b.Profile())
-	}
-	if cfg.Mode != Untimed {
-		for _, e := range ends {
-			if e > res.SimEnd {
-				res.SimEnd = e
-			}
-		}
-	}
-	return *res, nil
-}
-
-// pipeProfiles memoizes measured profiles per default-rate config —
-// safe because profiles are schedule-independent.
-var pipeProfiles = netlist.NewProfileCache()
-
-// profileKey is the comparable cache key of a default-rate config.
-type profileKey struct {
-	Depth, Blocks, WordsPerBlock, Burst int
-	Seed                                int64
-}
-
-// profileFor runs phase one of a profile-guided build: the same config
-// once single-kernel (necessarily TDfull — only Smart-FIFO builds
-// shard), harvesting the measured traffic profile for the sharded
-// placement.
-func profileFor(ctx context.Context, cfg Config, cacheable bool) (*netlist.Profile, error) {
-	key := profileKey{cfg.Depth, cfg.Blocks, cfg.WordsPerBlock, cfg.Burst, cfg.Seed}
-	if cacheable {
-		if p, ok := pipeProfiles.Get(key); ok {
-			return p, nil
-		}
-	}
-	g, _, _ := modelGraph(cfg)
-	b, err := g.Build(netlist.Options{Shards: 1, Impl: netlist.Smart})
-	if err != nil {
-		panic(fmt.Sprintf("pipeline: %v", err))
-	}
-	err = b.RunGuarded(ctx, sim.RunForever)
-	b.Shutdown()
-	if err != nil {
-		return nil, err
-	}
-	prof := b.Profile()
-	if cacheable {
-		pipeProfiles.Put(key, prof)
-	}
-	return prof, nil
-}
-
-// modelGraph wires the three-module benchmark graph and returns the
-// result and per-module end-date slots its bodies write into. A fresh
-// graph per call: a netlist graph elaborates at most once, and the
-// profiled two-phase builds the model twice. cfg must be filled.
-func modelGraph(cfg Config) (*netlist.Graph, *Result, *[3]sim.Time) {
 	timed := cfg.Mode != Untimed
 	newDelay := func(p *sim.Process) delayer {
 		switch cfg.Mode {
@@ -316,7 +217,7 @@ func modelGraph(cfg Config) (*netlist.Graph, *Result, *[3]sim.Time) {
 	f2 := netlist.AddChan[workload.Word](g, "f2", cfg.Depth).WithBurst(cfg.Burst)
 
 	n := cfg.Blocks * cfg.WordsPerBlock
-	res := &Result{Mode: cfg.Mode, Depth: cfg.Depth, Words: n}
+	res := Result{Mode: cfg.Mode, Depth: cfg.Depth, Words: n}
 
 	// Each module records its own final local date; the simulated end
 	// date is the latest (a decoupled process may terminate with its
@@ -458,7 +359,37 @@ func modelGraph(cfg Config) (*netlist.Graph, *Result, *[3]sim.Time) {
 		})
 	}
 
-	return g, res, &ends
+	impl := netlist.Plain
+	if cfg.Mode == TDfull {
+		impl = netlist.Smart
+	}
+	part, err := netlist.PartitionerByName(cfg.Partitioner)
+	if err != nil {
+		panic(fmt.Sprintf("pipeline: %v", err))
+	}
+	b, err := g.Build(netlist.Options{Shards: nShards, Partitioner: part, Impl: impl})
+	if err != nil {
+		panic(fmt.Sprintf("pipeline: %v", err))
+	}
+
+	start := time.Now()
+	if err := b.RunGuarded(ctx, sim.RunForever); err != nil {
+		b.Shutdown()
+		return Result{}, err
+	}
+	res.Wall = time.Since(start)
+	res.Stats = b.Stats()
+	res.Shards = b.Shards()
+	res.Advances = b.Advances()
+	res.Crossings = b.Crossings
+	if timed {
+		for _, e := range ends {
+			if e > res.SimEnd {
+				res.SimEnd = e
+			}
+		}
+	}
+	return res, nil
 }
 
 // MaxTimingError returns the largest absolute difference between the

@@ -86,18 +86,16 @@ func runScenario(ctx context.Context, p scenario.Params) (scenario.Outcome, erro
 	if res.Shards > 1 {
 		ctxSw = 0
 	}
-	counters := map[string]uint64{
-		"words":  uint64(res.Words),
-		"blocks": uint64(len(res.BlockDates)),
-		"shards": uint64(res.Shards),
-	}
-	res.Placement.AddCounters(counters)
 	return scenario.Outcome{
 		SimEndNS:    int64(res.SimEnd / sim.NS),
 		CtxSwitches: ctxSw,
 		Checksums:   []uint64{res.Checksum},
 		DatesHash:   d.Sum(),
-		Counters:    counters,
+		Counters: map[string]uint64{
+			"words":  uint64(res.Words),
+			"blocks": uint64(len(res.BlockDates)),
+			"shards": uint64(res.Shards),
+		},
 	}, nil
 }
 

@@ -34,7 +34,7 @@ type Stats struct {
 // happens-before edges. Distinct kernels share nothing and may run
 // concurrently: a partitioned simulation drives one kernel per shard
 // through Step under a conservative coordinator (internal/par), with each
-// shard's clock advancing independently between barriers.
+// shard's clock advancing independently between rendezvous.
 //
 // The kernel's hot paths — Wait, Sync, delayed notification, the
 // evaluate/delta/timed loop — are allocation-free in steady state: timed
@@ -175,7 +175,6 @@ func (k *Kernel) dispatch(p *Process) {
 		return
 	}
 	k.current = p
-	p.dispatches++
 	if p.isMethod {
 		k.stats.MethodActivations++
 		p.dynArmed = false
@@ -231,7 +230,7 @@ func (k *Kernel) NextEventAt() (at Time, ok bool) {
 // limit (no bound when limit == RunForever) — and reports whether any
 // activity was dispatched. Each kernel is single-threaded, but distinct
 // kernels may Step concurrently; the shard coordinator (internal/par) calls
-// Step once per barrier round with the shard's conservative horizon as the
+// Step once per shard advance with the shard's conservative horizon as the
 // limit.
 //
 // Step polls the interrupt flag (see Interrupt) at safe points — phase

@@ -50,12 +50,6 @@ type Process struct {
 	// waitingOn is the event list this thread is parked on, for cleanup.
 	waitingOn *Event
 
-	// dispatches counts activations of this process (thread dispatches
-	// plus method activations). It is the measured compute weight a
-	// profile-guided partitioner balances shards by: dispatch counts are
-	// dated-behaviour facts, identical across schedules and shardings.
-	dispatches uint64
-
 	// wake is the process's single reusable timed-queue entry: a thread
 	// has at most one live wakeup (Wait, Sync or a WaitEventTimeout
 	// timeout), a method at most one live timed trigger, so every timed
@@ -153,12 +147,6 @@ func (p *Process) IsMethod() bool { return p.isMethod }
 
 // Terminated reports whether the process body has returned.
 func (p *Process) Terminated() bool { return p.terminated }
-
-// Dispatches returns how many times the process has been activated
-// (coroutine handoffs for threads, run-to-completion calls for methods).
-// The count depends only on the model's dated behaviour, so it is the
-// same under any partitioning or scheduler.
-func (p *Process) Dispatches() uint64 { return p.dispatches }
 
 // park hands control back to the scheduler and blocks until redispatched.
 // Waking invalidates the wait round: entries this round registered on

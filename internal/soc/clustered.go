@@ -64,115 +64,7 @@ func RunClusteredCtx(ctx context.Context, cfg Config, shards int) (Result, error
 	if shards > nClusters {
 		panic(fmt.Sprintf("soc: %d shards but only %d clusters (a cluster is one colocation unit)", shards, nClusters))
 	}
-	part, err := netlist.PartitionerByName(cfg.Partitioner)
-	if err != nil {
-		panic(fmt.Sprintf("soc: %v", err))
-	}
 
-	var prof *netlist.Profile
-	if part.Name() == netlist.Profiled.Name() && shards > 1 {
-		if prof, err = clusteredProfile(ctx, cfg); err != nil {
-			return Result{}, err
-		}
-	}
-
-	g, st := clusteredGraph(cfg)
-	built, err := g.Build(netlist.Options{Shards: shards, Partitioner: part, Impl: netlist.Smart, Profile: prof})
-	if err != nil {
-		panic(fmt.Sprintf("soc: %v", err))
-	}
-
-	res := Result{
-		Mode:      SmartFIFOs,
-		Shards:    built.Shards(),
-		MaxLevels: make([]uint32, nClusters),
-		Placement: built.Placement,
-	}
-	start := time.Now()
-	if err := built.RunGuarded(ctx, sim.RunForever); err != nil {
-		built.Shutdown()
-		return Result{}, err
-	}
-	res.Wall = time.Since(start)
-	res.Stats = built.Stats()
-	res.Advances = built.Advances()
-	res.Crossings = built.Crossings
-	for i := 0; i < nClusters; i++ {
-		res.Checksums = append(res.Checksums, st.sinks[i].Checksum())
-		res.JobDates = append(res.JobDates, st.sinks[i].JobDates())
-		res.MaxLevels[i] = st.maxLevels[(i+1)%nClusters]
-	}
-	for _, b := range st.buses {
-		res.BusAccesses += b.Accesses()
-	}
-	for _, dates := range res.JobDates {
-		for _, d := range dates {
-			if d > res.SimEnd {
-				res.SimEnd = d
-			}
-		}
-	}
-	// Opportunistic harvest: a completed single-kernel clustered run is
-	// a valid profiling run (profiles are schedule-independent), so keep
-	// its counters for a later profile-guided build of the same config.
-	if built.Shards() == 1 {
-		clusteredProfiles.Put(profileCfgKey(cfg), built.Profile())
-	}
-	built.Shutdown()
-	return res, nil
-}
-
-// clusteredProfiles memoizes measured profiles per normalized Config
-// value (every field is comparable) — safe because profiles are
-// schedule-independent.
-var clusteredProfiles = netlist.NewProfileCache()
-
-// profileCfgKey normalizes a Config into a profile-cache key: the
-// partitioner choice never changes the measured counters (the
-// trace-equivalence invariant), and the clustered variant is Smart-FIFO
-// only.
-func profileCfgKey(cfg Config) Config {
-	cfg.Mode = SmartFIFOs
-	cfg.Partitioner = ""
-	return cfg
-}
-
-// clusteredProfile runs phase one of a profile-guided clustered build:
-// the same config once single-kernel, harvesting the measured profile
-// for the sharded placement.
-func clusteredProfile(ctx context.Context, cfg Config) (*netlist.Profile, error) {
-	key := profileCfgKey(cfg)
-	if p, ok := clusteredProfiles.Get(key); ok {
-		return p, nil
-	}
-	g, _ := clusteredGraph(cfg)
-	b, err := g.Build(netlist.Options{Shards: 1, Impl: netlist.Smart})
-	if err != nil {
-		panic(fmt.Sprintf("soc: %v", err))
-	}
-	err = b.RunGuarded(ctx, sim.RunForever)
-	b.Shutdown()
-	if err != nil {
-		return nil, err
-	}
-	prof := b.Profile()
-	clusteredProfiles.Put(key, prof)
-	return prof, nil
-}
-
-// clusteredState is the host-side bookkeeping a clustered graph's
-// modules write into.
-type clusteredState struct {
-	buses     []*bus.Bus
-	sinks     []*accel.Accel // sink of pipeline i (homed on cluster (i+1)%C)
-	maxLevels []uint32       // indexed by hosting cluster
-}
-
-// clusteredGraph wires the multi-cluster graph and its state. A fresh
-// graph per call: a netlist graph elaborates at most once, and the
-// profiled two-phase builds the model twice. cfg must be filled.
-func clusteredGraph(cfg Config) (*netlist.Graph, *clusteredState) {
-	nClusters := cfg.Pipelines
 	g := netlist.New("soc")
 	group := func(c int) string { return fmt.Sprintf("cl%d", c%nClusters) }
 
@@ -191,8 +83,8 @@ func clusteredGraph(cfg Config) (*netlist.Graph, *clusteredState) {
 	)
 
 	buses := make([]*bus.Bus, nClusters)
-	sinks := make([]*accel.Accel, nClusters)
-	maxLevels := make([]uint32, nClusters)
+	sinks := make([]*accel.Accel, nClusters) // sink of pipeline i (homed on cluster (i+1)%C)
+	maxLevels := make([]uint32, nClusters)   // indexed by hosting cluster
 
 	// First pass: the front halves (bus, gen → c1 → scale → mid).
 	for c := 0; c < nClusters; c++ {
@@ -269,5 +161,44 @@ func clusteredGraph(cfg Config) (*netlist.Graph, *clusteredState) {
 		}).InGroup(group(c))
 	}
 
-	return g, &clusteredState{buses: buses, sinks: sinks, maxLevels: maxLevels}
+	part, err := netlist.PartitionerByName(cfg.Partitioner)
+	if err != nil {
+		panic(fmt.Sprintf("soc: %v", err))
+	}
+	built, err := g.Build(netlist.Options{Shards: shards, Partitioner: part, Impl: netlist.Smart})
+	if err != nil {
+		panic(fmt.Sprintf("soc: %v", err))
+	}
+
+	res := Result{
+		Mode:      SmartFIFOs,
+		Shards:    built.Shards(),
+		MaxLevels: make([]uint32, nClusters),
+	}
+	start := time.Now()
+	if err := built.RunGuarded(ctx, sim.RunForever); err != nil {
+		built.Shutdown()
+		return Result{}, err
+	}
+	res.Wall = time.Since(start)
+	res.Stats = built.Stats()
+	res.Advances = built.Advances()
+	res.Crossings = built.Crossings
+	for i := 0; i < nClusters; i++ {
+		res.Checksums = append(res.Checksums, sinks[i].Checksum())
+		res.JobDates = append(res.JobDates, sinks[i].JobDates())
+		res.MaxLevels[i] = maxLevels[(i+1)%nClusters]
+	}
+	for _, b := range buses {
+		res.BusAccesses += b.Accesses()
+	}
+	for _, dates := range res.JobDates {
+		for _, d := range dates {
+			if d > res.SimEnd {
+				res.SimEnd = d
+			}
+		}
+	}
+	built.Shutdown()
+	return res, nil
 }

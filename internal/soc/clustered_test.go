@@ -102,7 +102,7 @@ func TestClusteredShardOverflowPanics(t *testing.T) {
 
 // TestClusteredParallelSpeedup checks the point of sharding: on a
 // multi-core host, N kernels beat 1. Skipped on small machines — with
-// fewer than 4 usable cores the barrier overhead cannot amortize.
+// fewer than 4 usable cores the coordination overhead cannot amortize.
 func TestClusteredParallelSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

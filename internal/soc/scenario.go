@@ -98,7 +98,6 @@ func outcome(res Result) scenario.Outcome {
 		counters["noc_packets"] = res.NoC.PacketsDelivered
 		counters["noc_flits"] = res.NoC.FlitsForwarded
 	}
-	res.Placement.AddCounters(counters)
 	// Kernel-stat counters are schedule-dependent for sharded runs
 	// (see scenario.Outcome.CtxSwitches); report them single-kernel only.
 	ctxSw := res.Stats.ContextSwitches

@@ -76,9 +76,7 @@ type Config struct {
 	// the interrupt-wait timeout in IRQ mode).
 	PollPeriod sim.Time
 	// Partitioner names the netlist partitioner for RunClustered
-	// ("single", "roundrobin" — the default —, "mincut" or
-	// "profiled", which first runs the model once single-kernel to
-	// harvest a measured traffic profile). Run ignores
+	// ("single", "roundrobin" — the default — or "mincut"). Run ignores
 	// it: the single-SoC model is one colocation unit.
 	Partitioner string
 	// UseIRQ makes the control core sleep on an interrupt controller
@@ -154,9 +152,6 @@ type Result struct {
 	Shards    int
 	Advances  uint64
 	Crossings int
-	// Placement is the before/after placement cost of a profiled
-	// clustered run (nil for every other partitioner).
-	Placement *netlist.PlacementCost
 }
 
 // pipeline groups the per-chain bookkeeping.
