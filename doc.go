@@ -36,14 +36,15 @@
 // # Bulk transfers (burst contract)
 //
 // Burst words advance a side's local clock by a fixed period, so their
-// insertion/freeing dates form arithmetic runs. The burst APIs
-// (WriteBurst, ReadBurst, TryWriteBurst, TryReadBurst on core.SmartFIFO,
-// the core.ShardedFIFO endpoints and fifo.FIFO; generic dispatch helpers
-// in package fifo) exploit that with run-based fast paths: a burst splits
-// into runs bounded by the next internal full/empty boundary, payload
-// moves with copy, dates are annotated in one vector pass, and event work
-// collapses to at most one notification per event per run. The contract is
-// the scalar loop — word 0 at the caller's local date, Inc(per) between
+// insertion/freeing dates form arithmetic runs. The burst methods
+// (WriteBurst, ReadBurst, TryWriteBurst, TryReadBurst) are part of the
+// fifo.Writer and fifo.Reader interfaces. core.SmartFIFO, the
+// core.ShardedFIFO endpoints and fifo.FIFO exploit the runs with bulk fast
+// paths: a burst splits into runs bounded by the next internal full/empty
+// boundary, payload moves with copy, dates are annotated in one vector
+// pass, and event work collapses to at most one notification per event per
+// run. The contract is the scalar loop (fifo.ScalarWriteBurst and its
+// siblings) — word 0 at the caller's local date, Inc(per) between
 // consecutive words, blocking/Try pre-checks per word — and the bulk
 // implementation is bit-identical to it: values, dates, Stats counters,
 // context switches, blocking behavior and every subscriber-visible

@@ -255,7 +255,7 @@ func (a *Accel) job(p *sim.Process, n int) {
 				a.produced++
 			}
 			p.Inc(a.cfg.WordLat)
-			fifo.WriteBurst(p, a.cfg.Out, a.buf[:m], a.cfg.WordLat)
+			a.cfg.Out.WriteBurst(a.buf[:m], a.cfg.WordLat)
 			done += m
 		}
 	case Scale:
@@ -293,7 +293,7 @@ func (a *Accel) job(p *sim.Process, n int) {
 			if n-done < m {
 				m = n - done
 			}
-			fifo.ReadBurst(p, a.cfg.In, a.buf[:m], a.cfg.WordLat)
+			a.cfg.In.ReadBurst(a.buf[:m], a.cfg.WordLat)
 			p.Inc(a.cfg.WordLat)
 			for _, w := range a.buf[:m] {
 				a.checksum = workload.Checksum(a.checksum, w)

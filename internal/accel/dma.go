@@ -163,9 +163,9 @@ func (d *DMA) run(p *sim.Process) {
 			case MemToStream:
 				in.ReadBurst(addr+uint32(done), chunk)
 				p.Inc(d.cfg.WordLat)
-				fifo.WriteBurst(p, d.cfg.Channel, chunk, d.cfg.WordLat)
+				d.cfg.Channel.WriteBurst(chunk, d.cfg.WordLat)
 			case StreamToMem:
-				fifo.ReadBurst(p, d.cfg.Channel, chunk, d.cfg.WordLat)
+				d.cfg.Channel.ReadBurst(chunk, d.cfg.WordLat)
 				p.Inc(d.cfg.WordLat)
 				in.WriteBurst(addr+uint32(done), chunk)
 			}

@@ -57,9 +57,6 @@ func NewArbiter[T any](k *sim.Kernel, name string, out fifo.Writer[T], nIn, dept
 // In returns the writer side of request queue i; hand it to producer i.
 func (a *Arbiter[T]) In(i int) *SmartFIFO[T] { return a.in[i] }
 
-// Inputs returns the number of request queues.
-func (a *Arbiter[T]) Inputs() int { return len(a.in) }
-
 // Forwards returns the number of words forwarded so far.
 func (a *Arbiter[T]) Forwards() uint64 { return a.forwards }
 

@@ -66,4 +66,4 @@ var AllFaults = []Fault{
 }
 
 // SetFault injects fault ft into the channel. Tests only.
-func (f *SmartFIFO[T]) SetFault(ft Fault) { f.fault = ft }
+func (f *SmartFIFO[T]) SetFault(ft Fault) { f.w.fault, f.r.fault = ft, ft }

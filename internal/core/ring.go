@@ -2,19 +2,26 @@ package core
 
 import "repro/internal/sim"
 
-// ring is the timestamped cell store shared by SmartFIFO and the
-// ShardedFIFO endpoint mirrors. It is laid out struct-of-arrays — payload,
-// insertion dates and freeing dates in separate slices — so the bulk
-// transfer paths (burst.go) can move payload with copy and sweep the date
-// annotations in tight contiguous passes instead of walking an
-// array-of-structs cell at a time.
+// ring is the timestamped cell store the §III halves (half.go) drive:
+// SmartFIFO's one shared ring, or a ShardedFIFO endpoint's mirror. It is
+// laid out struct-of-arrays — payload, insertion dates and freeing dates
+// in separate slices — so the bulk transfer paths can move payload with
+// copy and sweep the date annotations in tight contiguous passes instead
+// of walking an array-of-structs cell at a time.
 //
 // Occupancy is positional: because cells are filled and freed in strict
 // ring rotation, the busy cells are exactly the range
 // [firstBusy, firstBusy+nBusy) modulo depth, so no per-cell busy flag is
 // stored.
 type ring[T any] struct {
-	data []T        // cell payloads (unused by the sharded writer mirror)
+	stamps
+	data []T // cell payloads (unused by the sharded writer mirror)
+}
+
+// stamps is the payload-free part of a ring: the two §III-A timestamps of
+// every cell and the positional occupancy. All of the §III side logic
+// works on it alone.
+type stamps struct {
 	ins  []sim.Time // per cell: last data-insertion date (§III-A)
 	free []sim.Time // per cell: last freeing date (§III-A)
 
@@ -25,13 +32,12 @@ type ring[T any] struct {
 
 func newRing[T any](depth int) ring[T] {
 	return ring[T]{
-		data: make([]T, depth),
-		ins:  make([]sim.Time, depth),
-		free: make([]sim.Time, depth),
+		stamps: stamps{ins: make([]sim.Time, depth), free: make([]sim.Time, depth)},
+		data:   make([]T, depth),
 	}
 }
 
-func (r *ring[T]) depth() int { return len(r.ins) }
+func (r *stamps) depth() int { return len(r.ins) }
 
 // datedSize applies the four-rule §III-C table to the ring at date now: the
 // number of cells the real FIFO holds at that date, as far as this
@@ -42,7 +48,7 @@ func (r *ring[T]) depth() int { return len(r.ins) }
 //     and refilled since the query date);
 //   - an internally free cell is really busy if its freeing date is in the
 //     future and its previous insertion date is in the past.
-func (r *ring[T]) datedSize(now sim.Time) int {
+func (r *stamps) datedSize(now sim.Time) int {
 	n := 0
 	d := len(r.ins)
 	for q := 0; q < d; q++ {
@@ -149,4 +155,38 @@ func tryRunDates(stamp, bound []sim.Time, q0, mMax int, local, per sim.Time) (m 
 		}
 	}
 	return m, l
+}
+
+// wrap reduces q into [0, d) assuming q < 2d.
+func wrap(q, d int) int {
+	if q >= d {
+		q -= d
+	}
+	return q
+}
+
+// copyIn copies vals into the ring slice data starting at q0, in at most
+// two contiguous segments.
+func copyIn[T any](data []T, q0 int, vals []T) {
+	n1 := min(len(data)-q0, len(vals))
+	copy(data[q0:q0+n1], vals[:n1])
+	copy(data, vals[n1:])
+}
+
+// copyOut moves ring payload starting at q0 into dst and zeroes the
+// vacated cells (the scalar path clears each popped cell).
+func copyOut[T any](dst []T, data []T, q0 int) {
+	n1 := min(len(data)-q0, len(dst))
+	copy(dst[:n1], data[q0:q0+n1])
+	clear(data[q0 : q0+n1])
+	copy(dst[n1:], data)
+	clear(data[:len(dst)-n1])
+}
+
+// appendCells appends the m ring entries of src from q0 on (wrapping) to
+// dst.
+func appendCells[T any](dst, src []T, q0, m int) []T {
+	n1 := min(len(src)-q0, m)
+	dst = append(dst, src[q0:q0+n1]...)
+	return append(dst, src[:m-n1]...)
 }

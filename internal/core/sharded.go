@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fifo"
 	"repro/internal/sim"
@@ -17,34 +16,28 @@ import (
 // shard may safely run ahead — the insertion dates are the lookahead, so no
 // null messages are needed.
 //
-// Each endpoint keeps its own mirror of the cell ring:
+// Each endpoint is one half of SmartFIFO's §III side logic (half.go) over
+// its own mirror of the cell ring, so its Write, Read, bursts, two-test
+// rule and dated Size are literally SmartFIFO's code:
 //
-//   - the writer endpoint tracks which cells are busy and the freeing date
-//     of each free cell (its credit window). Write fills a cell exactly
-//     like SmartFIFO.Write — advancing the writer's local clock to the
-//     cell's freeing date, stamping the insertion date — and stages the
-//     datum in an outbox;
-//   - the reader endpoint tracks delivered data with insertion dates.
-//     Read pops exactly like SmartFIFO.Read — advancing the reader's
-//     local clock to the insertion date — and stages the freeing date for
-//     the writer.
+//   - the writer endpoint's mirror tracks which cells are busy and the
+//     freeing date of each free cell (its credit window); its hand-off
+//     stages each written datum and insertion date in an outbox;
+//   - the reader endpoint's mirror holds delivered data with insertion
+//     dates; its hand-back stages each freeing date for the writer.
 //
 // The exchange (each side's half between its own kernel's Steps, or Flush
 // at a global safe point) moves the outbox into the reader's cells and the
-// freeing dates into the writer's credit window, waking blocked endpoint
-// processes. Because deliveries are deferred to exchanges, the endpoints'
-// external views lag the real state — but every date carried is exact, so blocking
-// Read/Write produce local dates identical to a single-kernel SmartFIFO
-// (pinned by TestShardedFIFOMatchesSmart and the 1-vs-N-shard trace
-// equivalence tests). The two-test IsEmpty/IsFull rules and the dated Size
-// monitor are evaluated per endpoint over that endpoint's mirror; they are
-// exact for dates up to the bridge's frontier.
-//
-// Both endpoints offer the burst interface of burst.go: bulk runs over the
-// credit window (writes) or the delivered cells (reads), with outbox
-// staging and freeing-date credits batched as runs. The bulk paths are
-// bit-identical to the scalar endpoint loops, so a sharded burst model
-// keeps the single-kernel dates.
+// freeing dates into the writer's credit window, then runs the same "cells
+// arrived" and "cells freed" epilogues a SmartFIFO runs locally, waking
+// blocked endpoint processes. Because deliveries are deferred to
+// exchanges, the endpoints' external views lag the real state — but every
+// date carried is exact, so blocking Read/Write produce local dates
+// identical to a single-kernel SmartFIFO (pinned by
+// TestShardedFIFOMatchesSmart and the 1-vs-N-shard trace equivalence
+// tests). The two-test IsEmpty/IsFull rules and the dated Size monitor are
+// evaluated per endpoint over that endpoint's mirror; they are exact for
+// dates up to the bridge's frontier.
 //
 // Blocking always uses the SyncThenWait discipline (see BlockPolicy); the
 // WaitOnly ablation is not offered across shards.
@@ -87,13 +80,6 @@ type xfer[T any] struct {
 	// credit carries a freeing date at or after it.
 	rFloor sim.Time
 
-	// baseA/rFloorA/wfA mirror the published bounds for lock-free
-	// observation (diagnostics, benchmarks); the authoritative values
-	// are read under mu by the exchange halves.
-	baseA   atomic.Int64
-	rFloorA atomic.Int64
-	wfA     atomic.Int64
-
 	// m, captured at construction, is the optional shared metrics sink
 	// (see metrics.go).
 	m *BridgeMetrics
@@ -102,9 +88,7 @@ type xfer[T any] struct {
 // ShardedWriter is the writer-side endpoint, owned by the writer kernel.
 // It implements fifo.WriteEnd.
 type ShardedWriter[T any] struct {
-	f *ShardedFIFO[T]
-	k *sim.Kernel
-
+	h     writeHalf[T]
 	cells ring[T] // payload unused: only the occupancy and date mirrors
 
 	// outData/outIns are the writes staged since the last Flush,
@@ -112,30 +96,18 @@ type ShardedWriter[T any] struct {
 	outData []T
 	outIns  []sim.Time
 
-	cellFreed *sim.Event
-	notFull   *sim.Event
-
-	lastWriteDate sim.Time
-	writer        *sim.Process // sole writing process, nil before first write
-	multiWriter   bool         // a second process wrote: disable the local-date frontier refinement
-
-	stats Stats
+	writer      *sim.Process // sole writing process, nil before first write
+	multiWriter bool         // a second process wrote: disable the local-date frontier refinement
 }
 
 // ShardedReader is the reader-side endpoint, owned by the reader kernel.
 // It implements fifo.ReadEnd.
 type ShardedReader[T any] struct {
-	f *ShardedFIFO[T]
-	k *sim.Kernel
-
+	h     readHalf[T]
 	cells ring[T]
 
 	pendingFrees []sim.Time // freeing dates staged since the last Flush
 
-	cellFilled *sim.Event
-	notEmpty   *sim.Event
-
-	lastReadDate sim.Time
 	// retryAt is the reader's local date while it is blocked on an empty
 	// endpoint: the date at which the next pop (and hence the next
 	// freeing) can happen. Frontier consults it when the writer is
@@ -149,16 +121,14 @@ type ShardedReader[T any] struct {
 	// stays valid because the set of future deliveries only shrinks.
 	// Touched only by the reader shard's worker.
 	effFrontier sim.Time
-
-	stats Stats
 }
 
 // readFloor is a lower bound on the date of the reader's next pop.
 func (r *ShardedReader[T]) readFloor() sim.Time {
-	if !r.multiReader && r.retryAt > r.lastReadDate {
+	if !r.multiReader && r.retryAt > r.h.last {
 		return r.retryAt
 	}
-	return r.lastReadDate
+	return r.h.last
 }
 
 // NewSharded creates a sharded Smart FIFO with the given depth, its writer
@@ -172,20 +142,15 @@ func NewSharded[T any](wk, rk *sim.Kernel, name string, depth int) *ShardedFIFO[
 	}
 	f := &ShardedFIFO[T]{name: name}
 	f.x.m = defaultBridgeMetrics.Load()
-	f.w = ShardedWriter[T]{
-		f:         f,
-		k:         wk,
-		cells:     newRing[T](depth),
-		cellFreed: sim.NewEvent(wk, name+".w.cell_freed"),
-		notFull:   sim.NewEvent(wk, name+".w.not_full"),
-	}
-	f.r = ShardedReader[T]{
-		f:          f,
-		k:          rk,
-		cells:      newRing[T](depth),
-		cellFilled: sim.NewEvent(rk, name+".r.cell_filled"),
-		notEmpty:   sim.NewEvent(rk, name+".r.not_empty"),
-	}
+	w, r := &f.w, &f.r
+	w.cells = newRing[T](depth)
+	cellFreed := sim.NewEvent(wk, name+".w.cell_freed")
+	notFull := sim.NewEvent(wk, name+".w.not_full")
+	w.h = writeHalf[T]{writeSide{newHalf(wk, name, "write", &w.cells.stamps, cellFreed, notFull)}, w}
+	r.cells = newRing[T](depth)
+	cellFilled := sim.NewEvent(rk, name+".r.cell_filled")
+	notEmpty := sim.NewEvent(rk, name+".r.not_empty")
+	r.h = readHalf[T]{readSide{newHalf(rk, name, "read", &r.cells.stamps, cellFilled, notEmpty)}, r.cells.data, r}
 	return f
 }
 
@@ -204,24 +169,14 @@ func (f *ShardedFIFO[T]) Writer() *ShardedWriter[T] { return &f.w }
 func (f *ShardedFIFO[T]) Reader() *ShardedReader[T] { return &f.r }
 
 // WriterKernel returns the kernel owning the writer side.
-func (f *ShardedFIFO[T]) WriterKernel() *sim.Kernel { return f.w.k }
+func (f *ShardedFIFO[T]) WriterKernel() *sim.Kernel { return f.w.h.k }
 
 // ReaderKernel returns the kernel owning the reader side.
-func (f *ShardedFIFO[T]) ReaderKernel() *sim.Kernel { return f.r.k }
+func (f *ShardedFIFO[T]) ReaderKernel() *sim.Kernel { return f.r.h.k }
 
 // Stats merges both endpoints' counters. Call it only while neither kernel
 // is running (between coordinator rounds or after a run).
-func (f *ShardedFIFO[T]) Stats() Stats {
-	w, r := f.w.stats, f.r.stats
-	return Stats{
-		Writes:         w.Writes,
-		Reads:          r.Reads,
-		WriterBlocks:   w.WriterBlocks,
-		ReaderBlocks:   r.ReaderBlocks,
-		WriterAdvances: w.WriterAdvances,
-		ReaderAdvances: r.ReaderAdvances,
-	}
-}
+func (f *ShardedFIFO[T]) Stats() Stats { return sideStats(&f.w.h.half, &f.r.h.half) }
 
 // Flush moves everything staged on either side across the shard boundary
 // — outbox and mailbox data to the reader, pending and mailbox credits to
@@ -263,10 +218,9 @@ func (f *ShardedFIFO[T]) stageOutboxLocked() bool {
 	return true
 }
 
-// deliverDataLocked moves mailbox data into the reader's cells, waking a
-// blocked reader and refreshing the external view (the FIFO becomes
-// non-empty at the insertion date of the first datum). Reader-side safe
-// point; x.mu held.
+// deliverDataLocked moves mailbox data into the reader's cells and runs
+// the reader half's "cells arrived" epilogue. Reader-side safe point; x.mu
+// held.
 func (f *ShardedFIFO[T]) deliverDataLocked() bool {
 	x, r := &f.x, &f.r
 	k := len(x.data)
@@ -274,7 +228,6 @@ func (f *ShardedFIFO[T]) deliverDataLocked() bool {
 		return false
 	}
 	rc := &r.cells
-	wasEmpty := rc.nBusy == 0
 	q0 := rc.firstFree
 	copyIn(rc.data, q0, x.data)
 	copyIn(rc.ins, q0, x.ins)
@@ -283,10 +236,7 @@ func (f *ShardedFIFO[T]) deliverDataLocked() bool {
 	clear(x.data)
 	x.data = x.data[:0]
 	x.ins = x.ins[:0]
-	r.cellFilled.NotifyDelta()
-	if wasEmpty {
-		r.notEmpty.NotifyAtReplace(rc.ins[rc.firstBusy])
-	}
+	r.h.arrived(k)
 	return true
 }
 
@@ -302,9 +252,9 @@ func (f *ShardedFIFO[T]) stageFreesLocked() bool {
 	return true
 }
 
-// deliverFreesLocked moves mailbox credits into the writer's window,
-// waking a blocked writer (the FIFO becomes non-full at the freeing date
-// of the first available cell). Writer-side safe point; x.mu held.
+// deliverFreesLocked moves mailbox credits into the writer's window and
+// runs the writer half's "cells freed" epilogue. Writer-side safe point;
+// x.mu held.
 func (f *ShardedFIFO[T]) deliverFreesLocked() bool {
 	x, w := &f.x, &f.w
 	k := len(x.frees)
@@ -312,7 +262,6 @@ func (f *ShardedFIFO[T]) deliverFreesLocked() bool {
 		return false
 	}
 	wc := &w.cells
-	wasFull := wc.nBusy == len(wc.ins)
 	q0 := wc.firstBusy
 	copyIn(wc.free, q0, x.frees)
 	wc.firstBusy = wrap(q0+k, wc.depth())
@@ -321,10 +270,7 @@ func (f *ShardedFIFO[T]) deliverFreesLocked() bool {
 		x.m.CreditReturns.Add(uint64(k))
 	}
 	x.frees = x.frees[:0]
-	w.cellFreed.NotifyDelta()
-	if wasFull {
-		w.notFull.NotifyAtReplace(wc.free[wc.firstFree])
-	}
+	w.h.freed(k)
 	return true
 }
 
@@ -338,13 +284,12 @@ func (f *ShardedFIFO[T]) publishWriterBoundsLocked() bool {
 	if !w.multiWriter && w.writer != nil && w.writer.Terminated() {
 		if !x.term {
 			x.term = true
-			x.baseA.Store(int64(sim.TimeMax))
 			return true
 		}
 		return false
 	}
-	base := w.lastWriteDate
-	if now := w.k.Now(); now > base {
+	base := w.h.last
+	if now := w.h.k.Now(); now > base {
 		base = now
 	}
 	if !w.multiWriter && w.writer != nil {
@@ -362,7 +307,6 @@ func (f *ShardedFIFO[T]) publishWriterBoundsLocked() bool {
 	changed := false
 	if base > x.base {
 		x.base = base
-		x.baseA.Store(int64(base))
 		changed = true
 	}
 	if blocked != x.blocked {
@@ -378,7 +322,6 @@ func (f *ShardedFIFO[T]) publishReaderFloorLocked() bool {
 	r, x := &f.r, &f.x
 	if rf := r.readFloor(); rf > x.rFloor {
 		x.rFloor = rf
-		x.rFloorA.Store(int64(rf))
 		return true
 	}
 	return false
@@ -418,10 +361,9 @@ func (f *ShardedFIFO[T]) FlushWriterSide(deferData bool) (writeFrontier sim.Time
 	x.mu.Unlock()
 
 	if !w.multiWriter && w.writer != nil && w.writer.Terminated() {
-		x.wfA.Store(int64(sim.TimeMax))
 		return sim.TimeMax, data, bound
 	}
-	wf := w.lastWriteDate
+	wf := w.h.last
 	if rf > wf {
 		wf = rf
 	}
@@ -430,7 +372,6 @@ func (f *ShardedFIFO[T]) FlushWriterSide(deferData bool) (writeFrontier sim.Time
 			wf = lt
 		}
 	}
-	x.wfA.Store(int64(wf))
 	return wf, data, bound
 }
 
@@ -492,14 +433,6 @@ func (f *ShardedFIFO[T]) FlushReaderSide() (frontier sim.Time, credit, bound boo
 	return r.effFrontier, credit, bound
 }
 
-// AsyncBounds returns the last published frontier base and write
-// frontier without locking — a racy but monotone observation for
-// diagnostics and benchmarks. The exchange halves read the authoritative
-// values under the mailbox lock.
-func (f *ShardedFIFO[T]) AsyncBounds() (base, writeFrontier sim.Time) {
-	return sim.Time(f.x.baseA.Load()), sim.Time(f.x.wfA.Load())
-}
-
 // Frontier returns a lower bound on the insertion dates of everything the
 // bridge may still deliver: the reader's shard may safely simulate up to
 // and including this date. Call it only at a global safe point, after Flush (an
@@ -525,8 +458,8 @@ func (f *ShardedFIFO[T]) Frontier() sim.Time {
 	if !w.multiWriter && w.writer != nil && w.writer.Terminated() {
 		return sim.TimeMax
 	}
-	front := w.lastWriteDate
-	if now := w.k.Now(); now > front {
+	front := w.h.last
+	if now := w.h.k.Now(); now > front {
 		front = now
 	}
 	if !w.multiWriter && w.writer != nil {
@@ -570,7 +503,7 @@ func (f *ShardedFIFO[T]) WriteFrontier() sim.Time {
 	if !w.multiWriter && w.writer != nil && w.writer.Terminated() {
 		return sim.TimeMax
 	}
-	bound := w.lastWriteDate
+	bound := w.h.last
 	if rf := r.readFloor(); rf > bound {
 		bound = rf
 	}
@@ -585,21 +518,13 @@ func (f *ShardedFIFO[T]) WriteFrontier() sim.Time {
 // --- writer endpoint ---
 
 // Name returns the channel name.
-func (w *ShardedWriter[T]) Name() string { return w.f.name }
+func (w *ShardedWriter[T]) Name() string { return w.h.name }
 
 // Depth returns the capacity in cells.
 func (w *ShardedWriter[T]) Depth() int { return w.cells.depth() }
 
 // Kernel returns the kernel owning this endpoint.
-func (w *ShardedWriter[T]) Kernel() *sim.Kernel { return w.k }
-
-func (w *ShardedWriter[T]) caller(op string) *sim.Process {
-	p := w.k.Current()
-	if p == nil {
-		panic(fmt.Sprintf("core: %s: %s outside a process", w.f.name, op))
-	}
-	return p
-}
+func (w *ShardedWriter[T]) Kernel() *sim.Kernel { return w.h.k }
 
 // noteWriter records the writing process for the frontier refinement.
 func (w *ShardedWriter[T]) noteWriter(p *sim.Process) {
@@ -610,217 +535,63 @@ func (w *ShardedWriter[T]) noteWriter(p *sim.Process) {
 	}
 }
 
-// Write appends v, exactly like SmartFIFO.Write: if the credit window is
-// exhausted the calling thread synchronizes and parks until Flush returns
-// freed cells; otherwise the caller's local clock advances to the freeing
-// date of the cell it fills and the write costs no context switch.
+// Write appends v exactly like SmartFIFO.Write: if the credit window is
+// exhausted the calling thread synchronizes and parks until an exchange
+// returns freed cells; otherwise the caller's local clock advances to the
+// freeing date of the cell it fills and the write costs no context switch.
 func (w *ShardedWriter[T]) Write(v T) {
-	p := w.caller("Write")
-	checkSideOrderFor(w.f.name, p, &w.lastWriteDate, "write")
-	r := &w.cells
-	for r.nBusy == len(r.ins) {
-		w.stats.WriterBlocks++
-		if !p.Synchronized() {
-			p.Sync()
-			continue
-		}
-		local := p.LocalTime()
-		p.WaitEvent(w.cellFreed)
-		p.SetLocalDate(local)
-	}
-	q := r.firstFree
-	if r.free[q] > p.LocalTime() {
-		w.stats.WriterAdvances++
-	}
-	p.AdvanceLocalTo(r.free[q])
-	r.ins[q] = p.LocalTime()
-	r.firstFree = (q + 1) % len(r.ins)
-	r.nBusy++
-	w.stats.Writes++
-	w.lastWriteDate = p.LocalTime()
+	p := w.h.caller("Write")
+	q := w.h.reserve(p)
 	w.noteWriter(p)
 	w.outData = append(w.outData, v)
-	w.outIns = append(w.outIns, r.ins[q])
-	// Writer-side external view: still not full, but the next free cell
-	// only frees in the future.
-	if r.nBusy < len(r.ins) {
-		if fd := r.free[r.firstFree]; fd > w.k.Now() {
-			w.notFull.NotifyAtReplace(fd)
-		}
-	}
+	w.outIns = append(w.outIns, w.cells.ins[q])
+	w.h.wrote(1)
 }
 
-// WriteBurst writes vals in order, advancing the writer's local clock by
-// per between consecutive words (the burst contract of burst.go). The
-// fast path annotates the credit window as runs and stages the outbox in
-// batches; it blocks like Write when the window is exhausted.
+// TryWrite appends v if the endpoint is externally non-full at the
+// caller's local date. Never blocks; safe from method processes.
+func (w *ShardedWriter[T]) TryWrite(v T) bool { return w.h.tryWrite(w.h.caller("TryWrite"), v) }
+
+// IsFull is the two-test writer rule evaluated over the credit window.
+func (w *ShardedWriter[T]) IsFull() bool { return w.h.isFull(w.h.caller("IsFull")) }
+
+// WriteBurst writes vals under the burst contract, blocking like Write
+// when the window is exhausted; runs over the credit window reach the
+// outbox as batches.
 func (w *ShardedWriter[T]) WriteBurst(vals []T, per sim.Time) {
-	p := w.caller("WriteBurst")
-	if per < 0 {
-		for i, v := range vals {
-			if i > 0 {
-				p.Inc(per)
-			}
-			w.Write(v)
-		}
-		return
-	}
-	first := true
-	for len(vals) > 0 {
-		if n := w.writeRun(p, vals, per, !first); n > 0 {
-			vals = vals[n:]
-			first = false
-			continue
-		}
-		if !first {
-			p.Inc(per)
-		}
-		w.Write(vals[0])
-		vals = vals[1:]
-		first = false
-	}
+	w.h.writeBurst(w.h.caller("WriteBurst"), vals, per)
 }
 
 // TryWriteBurst writes up to len(vals) externally acceptable words without
 // blocking (burst contract) and returns the number written.
 func (w *ShardedWriter[T]) TryWriteBurst(vals []T, per sim.Time) int {
-	p := w.caller("TryWriteBurst")
-	if per < 0 {
-		n := 0
-		for i, v := range vals {
-			if i > 0 {
-				if w.IsFull() {
-					break
-				}
-				p.Inc(per)
-			}
-			if !w.TryWrite(v) {
-				break
-			}
-			n++
-		}
-		return n
-	}
-	r := &w.cells
-	d := len(r.ins)
-	mMax := d - r.nBusy
-	if mMax > len(vals) {
-		mMax = len(vals)
-	}
-	if mMax == 0 || r.free[r.firstFree] > p.LocalTime() {
-		return 0
-	}
-	checkSideOrderFor(w.f.name, p, &w.lastWriteDate, "write")
-	q0 := r.firstFree
-	m, end := tryRunDates(r.ins, r.free, q0, mMax, p.LocalTime(), per)
-	w.commitRun(p, vals[:m], q0, m, end, 0)
-	return m
-}
-
-// writeRun executes one bulk write run over the credit window; 0 iff the
-// window is exhausted.
-func (w *ShardedWriter[T]) writeRun(p *sim.Process, vals []T, per sim.Time, incFirst bool) int {
-	r := &w.cells
-	d := len(r.ins)
-	m := d - r.nBusy
-	if m == 0 {
-		return 0
-	}
-	if m > len(vals) {
-		m = len(vals)
-	}
-	checkSideOrderFor(w.f.name, p, &w.lastWriteDate, "write")
-	q0 := r.firstFree
-	end, adv := runDates(r.ins, r.free, q0, m, p.LocalTime(), per, incFirst)
-	w.commitRun(p, vals[:m], q0, m, end, adv)
-	return m
-}
-
-// commitRun applies a stamped write run: ring indices, stats, outbox
-// staging (batched as one append per direction) and the collapsed
-// writer-side event epilogue.
-func (w *ShardedWriter[T]) commitRun(p *sim.Process, vals []T, q0, m int, end sim.Time, adv uint64) {
-	r := &w.cells
-	d := len(r.ins)
-	w.outData = append(w.outData, vals...)
-	n1 := d - q0
-	if n1 > m {
-		n1 = m
-	}
-	w.outIns = append(w.outIns, r.ins[q0:q0+n1]...)
-	w.outIns = append(w.outIns, r.ins[:m-n1]...)
-	r.firstFree = wrap(q0+m, d)
-	r.nBusy += m
-	w.stats.Writes += uint64(m)
-	w.stats.WriterAdvances += adv
-	w.lastWriteDate = end
-	p.AdvanceLocalTo(end)
-	w.noteWriter(p)
-	now := w.k.Now()
-	if r.nBusy < d {
-		if fd := r.free[r.firstFree]; fd > now {
-			w.notFull.NotifyAtReplace(fd)
-		}
-	} else if m >= 2 {
-		if fd := r.free[wrap(q0+m-1, d)]; fd > now {
-			w.notFull.NotifyAtReplace(fd)
-		}
-	}
-}
-
-// IsFull is the two-test writer rule evaluated over the credit window:
-// full iff every cell is busy, or the freeing date of the first free cell
-// is after the caller's local date.
-func (w *ShardedWriter[T]) IsFull() bool {
-	p := w.caller("IsFull")
-	r := &w.cells
-	if r.nBusy == len(r.ins) {
-		return true
-	}
-	return r.free[r.firstFree] > p.LocalTime()
-}
-
-// TryWrite appends v if the endpoint is externally non-full at the
-// caller's local date. Never blocks; safe from method processes.
-func (w *ShardedWriter[T]) TryWrite(v T) bool {
-	if w.IsFull() {
-		return false
-	}
-	w.Write(v)
-	return true
+	return w.h.tryWriteBurst(w.h.caller("TryWriteBurst"), vals, per)
 }
 
 // NotFull is the writer-side writable-event, notified at the freeing date
 // of the first available cell (as of the last exchange).
-func (w *ShardedWriter[T]) NotFull() *sim.Event { return w.notFull }
+func (w *ShardedWriter[T]) NotFull() *sim.Event { return w.h.ext }
 
 // Size is the dated monitor count over the writer's mirror (§III-C rules).
-func (w *ShardedWriter[T]) Size() int {
-	p := w.caller("Size")
-	if !p.IsMethod() {
-		p.Sync()
-	}
-	return w.cells.datedSize(p.LocalTime())
+func (w *ShardedWriter[T]) Size() int { return w.h.size(w.h.caller("Size")) }
+
+// handOffRun stages a write run and its insertion dates in the outbox.
+func (w *ShardedWriter[T]) handOffRun(p *sim.Process, q0 int, vals []T) {
+	w.noteWriter(p)
+	w.outData = append(w.outData, vals...)
+	w.outIns = appendCells(w.outIns, w.cells.ins, q0, len(vals))
 }
 
 // --- reader endpoint ---
 
 // Name returns the channel name.
-func (r *ShardedReader[T]) Name() string { return r.f.name }
+func (r *ShardedReader[T]) Name() string { return r.h.name }
 
 // Depth returns the capacity in cells.
 func (r *ShardedReader[T]) Depth() int { return r.cells.depth() }
 
 // Kernel returns the kernel owning this endpoint.
-func (r *ShardedReader[T]) Kernel() *sim.Kernel { return r.k }
-
-func (r *ShardedReader[T]) caller(op string) *sim.Process {
-	p := r.k.Current()
-	if p == nil {
-		panic(fmt.Sprintf("core: %s: %s outside a process", r.f.name, op))
-	}
-	return p
-}
+func (r *ShardedReader[T]) Kernel() *sim.Kernel { return r.h.k }
 
 // noteReader records the reading process for the frontier refinement.
 func (r *ShardedReader[T]) noteReader(p *sim.Process) {
@@ -831,217 +602,56 @@ func (r *ShardedReader[T]) noteReader(p *sim.Process) {
 	}
 }
 
-// Read pops the oldest delivered value, exactly like SmartFIFO.Read: park
+// Read pops the oldest delivered value exactly like SmartFIFO.Read: park
 // (after synchronizing) only when nothing has been delivered; otherwise
 // advance the reader's local clock to the datum's insertion date.
 func (r *ShardedReader[T]) Read() T {
-	p := r.caller("Read")
-	checkSideOrderFor(r.f.name, p, &r.lastReadDate, "read")
-	r.noteReader(p)
-	rc := &r.cells
-	for rc.nBusy == 0 {
-		r.stats.ReaderBlocks++
-		if t := p.LocalTime(); t > r.retryAt {
-			r.retryAt = t
-		}
-		if !p.Synchronized() {
-			p.Sync()
-			continue
-		}
-		local := p.LocalTime()
-		p.WaitEvent(r.cellFilled)
-		p.SetLocalDate(local)
-	}
-	q := rc.firstBusy
-	if rc.ins[q] > p.LocalTime() {
-		r.stats.ReaderAdvances++
-	}
-	p.AdvanceLocalTo(rc.ins[q])
-	v := rc.data[q]
-	var zero T
-	rc.data[q] = zero
-	rc.free[q] = p.LocalTime()
-	rc.firstBusy = (q + 1) % len(rc.ins)
-	rc.nBusy--
-	r.stats.Reads++
-	r.lastReadDate = p.LocalTime()
-	r.pendingFrees = append(r.pendingFrees, rc.free[q])
-	// Reader-side external view: the next datum exists but becomes
-	// visible only at its (future) insertion date.
-	if rc.nBusy > 0 {
-		if id := rc.ins[rc.firstBusy]; id > r.k.Now() {
-			r.notEmpty.NotifyAtReplace(id)
-		}
-	}
+	p := r.h.caller("Read")
+	v, q := r.h.take(p)
+	r.handBack(p, q, 1)
+	r.h.took(1)
 	return v
-}
-
-// ReadBurst fills dst in order, advancing the reader's local clock by per
-// between consecutive words (burst contract). The fast path annotates the
-// freeing-date credits as runs and stages them in batches; it blocks like
-// Read when nothing has been delivered.
-func (r *ShardedReader[T]) ReadBurst(dst []T, per sim.Time) {
-	p := r.caller("ReadBurst")
-	if per < 0 {
-		for i := range dst {
-			if i > 0 {
-				p.Inc(per)
-			}
-			dst[i] = r.Read()
-		}
-		return
-	}
-	first := true
-	for len(dst) > 0 {
-		if n := r.readRun(p, dst, per, !first); n > 0 {
-			dst = dst[n:]
-			first = false
-			continue
-		}
-		if !first {
-			p.Inc(per)
-		}
-		dst[0] = r.Read()
-		dst = dst[1:]
-		first = false
-	}
-}
-
-// TryReadBurst pops up to len(dst) externally available words without
-// blocking (burst contract) and returns the number read.
-func (r *ShardedReader[T]) TryReadBurst(dst []T, per sim.Time) int {
-	p := r.caller("TryReadBurst")
-	if per < 0 {
-		n := 0
-		for i := range dst {
-			if i > 0 {
-				if r.IsEmpty() {
-					break
-				}
-				p.Inc(per)
-			}
-			v, ok := r.TryRead()
-			if !ok {
-				break
-			}
-			dst[i] = v
-			n++
-		}
-		return n
-	}
-	rc := &r.cells
-	mMax := rc.nBusy
-	if mMax > len(dst) {
-		mMax = len(dst)
-	}
-	if mMax == 0 || rc.ins[rc.firstBusy] > p.LocalTime() {
-		return 0
-	}
-	checkSideOrderFor(r.f.name, p, &r.lastReadDate, "read")
-	r.noteReader(p)
-	q0 := rc.firstBusy
-	m, end := tryRunDates(rc.free, rc.ins, q0, mMax, p.LocalTime(), per)
-	r.commitRun(p, dst[:m], q0, m, end, 0)
-	return m
-}
-
-// readRun executes one bulk read run over the delivered cells; 0 iff the
-// mirror is internally empty.
-func (r *ShardedReader[T]) readRun(p *sim.Process, dst []T, per sim.Time, incFirst bool) int {
-	rc := &r.cells
-	m := rc.nBusy
-	if m == 0 {
-		return 0
-	}
-	if m > len(dst) {
-		m = len(dst)
-	}
-	checkSideOrderFor(r.f.name, p, &r.lastReadDate, "read")
-	r.noteReader(p)
-	q0 := rc.firstBusy
-	end, adv := runDates(rc.free, rc.ins, q0, m, p.LocalTime(), per, incFirst)
-	r.commitRun(p, dst[:m], q0, m, end, adv)
-	return m
-}
-
-// commitRun applies a stamped read run: payload copy-out, ring indices,
-// stats, the batched freeing-date credits and the collapsed reader-side
-// event epilogue.
-func (r *ShardedReader[T]) commitRun(p *sim.Process, dst []T, q0, m int, end sim.Time, adv uint64) {
-	rc := &r.cells
-	d := len(rc.ins)
-	copyOut(dst, rc.data, q0)
-	n1 := d - q0
-	if n1 > m {
-		n1 = m
-	}
-	r.pendingFrees = append(r.pendingFrees, rc.free[q0:q0+n1]...)
-	r.pendingFrees = append(r.pendingFrees, rc.free[:m-n1]...)
-	rc.firstBusy = wrap(q0+m, d)
-	rc.nBusy -= m
-	r.stats.Reads += uint64(m)
-	r.stats.ReaderAdvances += adv
-	r.lastReadDate = end
-	p.AdvanceLocalTo(end)
-	now := r.k.Now()
-	if rc.nBusy > 0 {
-		if id := rc.ins[rc.firstBusy]; id > now {
-			r.notEmpty.NotifyAtReplace(id)
-		}
-	} else if m >= 2 {
-		if id := rc.ins[wrap(q0+m-1, d)]; id > now {
-			r.notEmpty.NotifyAtReplace(id)
-		}
-	}
-}
-
-// IsEmpty is the two-test reader rule over delivered data: empty iff no
-// cell is busy, or the insertion date of the first busy cell is after the
-// caller's local date.
-func (r *ShardedReader[T]) IsEmpty() bool {
-	p := r.caller("IsEmpty")
-	rc := &r.cells
-	if rc.nBusy == 0 {
-		return true
-	}
-	return rc.ins[rc.firstBusy] > p.LocalTime()
 }
 
 // TryRead pops the oldest delivered value if the endpoint is externally
 // non-empty at the caller's local date. Never blocks; safe from method
 // processes.
-func (r *ShardedReader[T]) TryRead() (T, bool) {
-	if r.IsEmpty() {
-		var zero T
-		return zero, false
-	}
-	return r.Read(), true
+func (r *ShardedReader[T]) TryRead() (T, bool) { return r.h.tryRead(r.h.caller("TryRead")) }
+
+// IsEmpty is the two-test reader rule over delivered data.
+func (r *ShardedReader[T]) IsEmpty() bool { return r.h.isEmpty(r.h.caller("IsEmpty")) }
+
+// ReadBurst fills dst under the burst contract, blocking like Read when
+// nothing has been delivered; runs reach the pending credits as batches.
+func (r *ShardedReader[T]) ReadBurst(dst []T, per sim.Time) {
+	r.h.readBurst(r.h.caller("ReadBurst"), dst, per)
+}
+
+// TryReadBurst pops up to len(dst) externally available words without
+// blocking (burst contract) and returns the number read.
+func (r *ShardedReader[T]) TryReadBurst(dst []T, per sim.Time) int {
+	return r.h.tryReadBurst(r.h.caller("TryReadBurst"), dst, per)
 }
 
 // NotEmpty is the reader-side readable-event, notified at the insertion
 // date of the first available datum (as of the last exchange).
-func (r *ShardedReader[T]) NotEmpty() *sim.Event { return r.notEmpty }
+func (r *ShardedReader[T]) NotEmpty() *sim.Event { return r.h.ext }
 
 // Size is the dated monitor count over the reader's mirror (§III-C rules).
-func (r *ShardedReader[T]) Size() int {
-	p := r.caller("Size")
-	if !p.IsMethod() {
-		p.Sync()
+func (r *ShardedReader[T]) Size() int { return r.h.size(r.h.caller("Size")) }
+
+// readerParked records the blocked reader's local date as its retry date.
+func (r *ShardedReader[T]) readerParked(p *sim.Process) {
+	r.noteReader(p)
+	if t := p.LocalTime(); t > r.retryAt {
+		r.retryAt = t
 	}
-	return r.cells.datedSize(p.LocalTime())
 }
 
-// checkSideOrderFor enforces the §III non-decreasing-date discipline for a
-// named channel side (shared with SmartFIFO.checkSideOrder).
-func checkSideOrderFor(name string, p *sim.Process, last *sim.Time, side string) {
-	t := p.LocalTime()
-	if t < *last {
-		panic(fmt.Sprintf(
-			"core: %s: %s access by %q at local date %v after an access at %v; "+
-				"each side needs non-decreasing dates (add an Arbiter if several processes share a side)",
-			name, side, p.Name(), t, *last))
-	}
-	*last = t
+// handBack stages the freeing dates of popped cells as credits.
+func (r *ShardedReader[T]) handBack(p *sim.Process, q0, m int) {
+	r.noteReader(p)
+	r.pendingFrees = appendCells(r.pendingFrees, r.cells.free, q0, m)
 }
 
 var (

@@ -2,48 +2,20 @@ package fifo
 
 import "repro/internal/sim"
 
-// Burst transfers. Every burst method follows the contract of
-// internal/core/burst.go: word 0 is transferred at the caller's current
-// local date and per of local time is advanced between consecutive words —
-// the scalar oracle
-//
-//	for i, v := range vals { if i > 0 { p.Inc(per) }; w.Write(v) }
-//
-// (with the IsFull/IsEmpty pre-checks for the Try variants). Channels that
-// can do better implement BurstWriter/BurstReader natively; the package
-// helpers dispatch to the native path when available and fall back to the
-// scalar loop otherwise, so model code can be written once against the
-// plain Reader/Writer interfaces.
+// Burst transfers. Every Reader and Writer moves whole bursts: word 0 at
+// the caller's current local date, per of local time advanced between
+// consecutive words. The four functions below are the contract's
+// definition — the scalar loops every burst method must be bit-identical
+// to. Channels that can batch (FIFO here, the Smart FIFO and the bridge
+// endpoints in internal/core) implement run-based fast paths and fall back
+// to these loops only where batching has nothing to offer: a negative per,
+// which must land word 0 and then panic in Inc like the loop does, and
+// fault injection. SyncFIFO, whose defining property is one
+// synchronization per access, uses them as its burst methods.
 
-// BurstWriter is the optional bulk write-side interface. The Smart FIFO,
-// the sharded bridge endpoints and the regular FIFO implement it with
-// run-based fast paths.
-type BurstWriter[T any] interface {
-	// WriteBurst writes vals in order, advancing the caller's local
-	// clock by per between consecutive words; it blocks like Write.
-	WriteBurst(vals []T, per sim.Time)
-	// TryWriteBurst writes up to len(vals) acceptable words without
-	// blocking and returns the number written.
-	TryWriteBurst(vals []T, per sim.Time) int
-}
-
-// BurstReader is the optional bulk read-side interface.
-type BurstReader[T any] interface {
-	// ReadBurst fills dst in order, advancing the caller's local clock
-	// by per between consecutive words; it blocks like Read.
-	ReadBurst(dst []T, per sim.Time)
-	// TryReadBurst pops up to len(dst) available words without blocking
-	// and returns the number read.
-	TryReadBurst(dst []T, per sim.Time) int
-}
-
-// WriteBurst writes vals through w under the burst contract, taking w's
-// native bulk path when it has one.
-func WriteBurst[T any](p *sim.Process, w Writer[T], vals []T, per sim.Time) {
-	if bw, ok := w.(BurstWriter[T]); ok {
-		bw.WriteBurst(vals, per)
-		return
-	}
+// ScalarWriteBurst is the WriteBurst contract: Write each word, with an
+// Inc(per) before every word but the first.
+func ScalarWriteBurst[T any](p *sim.Process, w Writer[T], vals []T, per sim.Time) {
 	for i, v := range vals {
 		if i > 0 {
 			p.Inc(per)
@@ -52,13 +24,9 @@ func WriteBurst[T any](p *sim.Process, w Writer[T], vals []T, per sim.Time) {
 	}
 }
 
-// ReadBurst fills dst from r under the burst contract, taking r's native
-// bulk path when it has one.
-func ReadBurst[T any](p *sim.Process, r Reader[T], dst []T, per sim.Time) {
-	if br, ok := r.(BurstReader[T]); ok {
-		br.ReadBurst(dst, per)
-		return
-	}
+// ScalarReadBurst is the ReadBurst contract, symmetric to
+// ScalarWriteBurst.
+func ScalarReadBurst[T any](p *sim.Process, r Reader[T], dst []T, per sim.Time) {
 	for i := range dst {
 		if i > 0 {
 			p.Inc(per)
@@ -67,12 +35,11 @@ func ReadBurst[T any](p *sim.Process, r Reader[T], dst []T, per sim.Time) {
 	}
 }
 
-// TryWriteBurst writes up to len(vals) words through w without blocking and
-// returns the number written.
-func TryWriteBurst[T any](p *sim.Process, w Writer[T], vals []T, per sim.Time) int {
-	if bw, ok := w.(BurstWriter[T]); ok {
-		return bw.TryWriteBurst(vals, per)
-	}
+// ScalarTryWriteBurst is the TryWriteBurst contract: TryWrite each word
+// and stop at the first refusal; before every word but the first, stop if
+// IsFull at the previous word's date, else Inc(per). It returns the number
+// of words written.
+func ScalarTryWriteBurst[T any](p *sim.Process, w Writer[T], vals []T, per sim.Time) int {
 	n := 0
 	for i, v := range vals {
 		if i > 0 {
@@ -89,12 +56,9 @@ func TryWriteBurst[T any](p *sim.Process, w Writer[T], vals []T, per sim.Time) i
 	return n
 }
 
-// TryReadBurst pops up to len(dst) words from r without blocking and
-// returns the number read.
-func TryReadBurst[T any](p *sim.Process, r Reader[T], dst []T, per sim.Time) int {
-	if br, ok := r.(BurstReader[T]); ok {
-		return br.TryReadBurst(dst, per)
-	}
+// ScalarTryReadBurst is the TryReadBurst contract, symmetric to
+// ScalarTryWriteBurst. It returns the number of words read.
+func ScalarTryReadBurst[T any](p *sim.Process, r Reader[T], dst []T, per sim.Time) int {
 	n := 0
 	for i := range dst {
 		if i > 0 {
@@ -126,10 +90,14 @@ func TryReadBurst[T any](p *sim.Process, r Reader[T], dst []T, per sim.Time) int
 // while the FIFO is full.
 func (f *FIFO[T]) WriteBurst(vals []T, per sim.Time) {
 	p := f.caller("WriteBurst")
+	if per < 0 {
+		ScalarWriteBurst(p, f, vals, per)
+		return
+	}
 	first := true
 	for len(vals) > 0 {
 		m := len(f.buf) - f.n
-		if m == 0 || per < 0 {
+		if m == 0 {
 			if !first {
 				p.Inc(per)
 			}
@@ -156,10 +124,14 @@ func (f *FIFO[T]) WriteBurst(vals []T, per sim.Time) {
 // the FIFO is empty.
 func (f *FIFO[T]) ReadBurst(dst []T, per sim.Time) {
 	p := f.caller("ReadBurst")
+	if per < 0 {
+		ScalarReadBurst(p, f, dst, per)
+		return
+	}
 	first := true
 	for len(dst) > 0 {
 		m := f.n
-		if m == 0 || per < 0 {
+		if m == 0 {
 			if !first {
 				p.Inc(per)
 			}
@@ -187,22 +159,7 @@ func (f *FIFO[T]) ReadBurst(dst []T, per sim.Time) {
 func (f *FIFO[T]) TryWriteBurst(vals []T, per sim.Time) int {
 	p := f.caller("TryWriteBurst")
 	if per < 0 {
-		// Panic parity with the contract loop: word 0 lands, the
-		// word-1 Inc panics.
-		n := 0
-		for i, v := range vals {
-			if i > 0 {
-				if f.IsFull() {
-					break
-				}
-				p.Inc(per)
-			}
-			if !f.TryWrite(v) {
-				break
-			}
-			n++
-		}
-		return n
+		return ScalarTryWriteBurst(p, f, vals, per)
 	}
 	m := len(f.buf) - f.n
 	if m > len(vals) {
@@ -221,22 +178,7 @@ func (f *FIFO[T]) TryWriteBurst(vals []T, per sim.Time) int {
 func (f *FIFO[T]) TryReadBurst(dst []T, per sim.Time) int {
 	p := f.caller("TryReadBurst")
 	if per < 0 {
-		n := 0
-		for i := range dst {
-			if i > 0 {
-				if f.IsEmpty() {
-					break
-				}
-				p.Inc(per)
-			}
-			v, ok := f.TryRead()
-			if !ok {
-				break
-			}
-			dst[i] = v
-			n++
-		}
-		return n
+		return ScalarTryReadBurst(p, f, dst, per)
 	}
 	m := f.n
 	if m > len(dst) {
@@ -282,79 +224,30 @@ func (f *FIFO[T]) popBulk(dst []T) {
 // --- SyncFIFO bursts ---
 
 // The sync-on-every-access baseline cannot batch: its defining property is
-// one synchronization per access. Its burst methods are the literal scalar
-// contract loops, provided so model code using the burst vocabulary keeps
-// the baseline's exact per-word behavior.
+// one synchronization per access. Its burst methods are the scalar
+// contract loops, so model code using the burst vocabulary keeps the
+// baseline's exact per-word behavior.
 
 // WriteBurst writes vals under the burst contract, synchronizing on every
 // word like Write.
 func (f *SyncFIFO[T]) WriteBurst(vals []T, per sim.Time) {
-	p := f.inner.caller("WriteBurst")
-	for i, v := range vals {
-		if i > 0 {
-			p.Inc(per)
-		}
-		f.Write(v)
-	}
+	ScalarWriteBurst(f.inner.caller("WriteBurst"), f, vals, per)
 }
 
 // ReadBurst fills dst under the burst contract, synchronizing on every
 // word like Read.
 func (f *SyncFIFO[T]) ReadBurst(dst []T, per sim.Time) {
-	p := f.inner.caller("ReadBurst")
-	for i := range dst {
-		if i > 0 {
-			p.Inc(per)
-		}
-		dst[i] = f.Read()
-	}
+	ScalarReadBurst(f.inner.caller("ReadBurst"), f, dst, per)
 }
 
 // TryWriteBurst writes up to len(vals) words without blocking, one
 // synchronized TryWrite per word.
 func (f *SyncFIFO[T]) TryWriteBurst(vals []T, per sim.Time) int {
-	p := f.inner.caller("TryWriteBurst")
-	n := 0
-	for i, v := range vals {
-		if i > 0 {
-			if f.IsFull() {
-				break
-			}
-			p.Inc(per)
-		}
-		if !f.TryWrite(v) {
-			break
-		}
-		n++
-	}
-	return n
+	return ScalarTryWriteBurst(f.inner.caller("TryWriteBurst"), f, vals, per)
 }
 
 // TryReadBurst pops up to len(dst) words without blocking, one
 // synchronized TryRead per word.
 func (f *SyncFIFO[T]) TryReadBurst(dst []T, per sim.Time) int {
-	p := f.inner.caller("TryReadBurst")
-	n := 0
-	for i := range dst {
-		if i > 0 {
-			if f.IsEmpty() {
-				break
-			}
-			p.Inc(per)
-		}
-		v, ok := f.TryRead()
-		if !ok {
-			break
-		}
-		dst[i] = v
-		n++
-	}
-	return n
+	return ScalarTryReadBurst(f.inner.caller("TryReadBurst"), f, dst, per)
 }
-
-var (
-	_ BurstWriter[int] = (*FIFO[int])(nil)
-	_ BurstReader[int] = (*FIFO[int])(nil)
-	_ BurstWriter[int] = (*SyncFIFO[int])(nil)
-	_ BurstReader[int] = (*SyncFIFO[int])(nil)
-)

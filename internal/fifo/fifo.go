@@ -28,6 +28,13 @@ type Reader[T any] interface {
 	IsEmpty() bool
 	// NotEmpty is notified when the channel becomes readable.
 	NotEmpty() *sim.Event
+	// ReadBurst fills dst in order, advancing the caller's local clock
+	// by per between consecutive words; it blocks like Read (burst
+	// contract, see ScalarReadBurst).
+	ReadBurst(dst []T, per sim.Time)
+	// TryReadBurst pops up to len(dst) available words without blocking
+	// and returns the number read (see ScalarTryReadBurst).
+	TryReadBurst(dst []T, per sim.Time) int
 }
 
 // Writer is the write side of a FIFO channel.
@@ -42,6 +49,13 @@ type Writer[T any] interface {
 	IsFull() bool
 	// NotFull is notified when the channel becomes writable.
 	NotFull() *sim.Event
+	// WriteBurst writes vals in order, advancing the caller's local
+	// clock by per between consecutive words; it blocks like Write
+	// (burst contract, see ScalarWriteBurst).
+	WriteBurst(vals []T, per sim.Time)
+	// TryWriteBurst writes up to len(vals) acceptable words without
+	// blocking and returns the number written (see ScalarTryWriteBurst).
+	TryWriteBurst(vals []T, per sim.Time) int
 }
 
 // Monitor is the low-rate observation interface (paper Fig. 4): embedded

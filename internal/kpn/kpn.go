@@ -153,7 +153,7 @@ func (c *Chan[T]) Write(v T) {
 func (c *Chan[T]) WriteBurst(a *Actor, vals []T, per sim.Time) {
 	w, _ := c.nc.Ends()
 	if c.n.Decoupled {
-		fifo.WriteBurst(a.P, fifo.Writer[T](w), vals, per)
+		w.WriteBurst(vals, per)
 		return
 	}
 	for i, v := range vals {
@@ -169,7 +169,7 @@ func (c *Chan[T]) WriteBurst(a *Actor, vals []T, per sim.Time) {
 func (c *Chan[T]) ReadBurst(a *Actor, dst []T, per sim.Time) {
 	_, r := c.nc.Ends()
 	if c.n.Decoupled {
-		fifo.ReadBurst(a.P, fifo.Reader[T](r), dst, per)
+		r.ReadBurst(dst, per)
 		return
 	}
 	for i := range dst {

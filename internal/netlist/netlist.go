@@ -478,16 +478,6 @@ func (g *Graph) Build(opt Options) (*Build, error) {
 	return b, nil
 }
 
-// MustBuild is Build, panicking on error — for builders whose graphs are
-// statically known to be valid.
-func (g *Graph) MustBuild(opt Options) *Build {
-	b, err := g.Build(opt)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
 // shardOfChanSide places one side of a channel: the bound module's shard,
 // falling back to the other side's shard (then 0) for unbound sides —
 // which only occur in single-shard builds, where every answer is 0.
@@ -560,11 +550,6 @@ func (g *Graph) partGraph(units []Unit, unitOf []int) PartGraph {
 		pg.Edges = append(pg.Edges, Edge{A: a, B: b, Weight: cm.trafficWeight()})
 	}
 	return pg
-}
-
-// KernelOf returns the kernel the module elaborated onto.
-func (b *Build) KernelOf(m *Module) *sim.Kernel {
-	return b.Kernels[b.Assignment[m.idx]]
 }
 
 // Shards returns the number of kernels.

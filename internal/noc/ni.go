@@ -172,7 +172,7 @@ func (ni *NI) ingress(p *sim.Process) bool {
 			// word into the assembly buffer — the Smart FIFO's bulk
 			// fast path instead of a TryRead per word.
 			space := ni.assembly[got:ni.cfg.PacketLen]
-			n := fifo.TryReadBurst(p, ni.src, space, 0)
+			n := ni.src.TryReadBurst(space, 0)
 			ni.assembly = ni.assembly[:got+n]
 			busy = busy || n > 0
 		}

@@ -239,9 +239,9 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		writeChunk := func(p *sim.Process, w fifo.Writer[workload.Word], delay delayer, chunk []workload.Word, per sim.Time) {
 			switch cfg.Mode {
 			case TDfull:
-				fifo.WriteBurst(p, w, chunk, per)
+				w.WriteBurst(chunk, per)
 			case Untimed:
-				fifo.WriteBurst(p, w, chunk, 0)
+				w.WriteBurst(chunk, 0)
 			default:
 				for i, v := range chunk {
 					if i > 0 {
@@ -254,9 +254,9 @@ func RunCtx(ctx context.Context, cfg Config) (Result, error) {
 		readChunk := func(p *sim.Process, r fifo.Reader[workload.Word], delay delayer, chunk []workload.Word, per sim.Time) {
 			switch cfg.Mode {
 			case TDfull:
-				fifo.ReadBurst(p, r, chunk, per)
+				r.ReadBurst(chunk, per)
 			case Untimed:
-				fifo.ReadBurst(p, r, chunk, 0)
+				r.ReadBurst(chunk, 0)
 			default:
 				for i := range chunk {
 					if i > 0 {

@@ -74,10 +74,6 @@ func (r *Recovered) Interrupted() []*JobRecord {
 	return out
 }
 
-// finish sorts nothing (order is append order) but exists as the
-// single post-scan hook; kept for symmetry and future invariants.
-func (r *Recovered) finish() {}
-
 // apply folds one decoded record into the replay state.
 func (r *Recovered) apply(typ byte, body []byte) error {
 	switch typ {

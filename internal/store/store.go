@@ -164,7 +164,6 @@ func Open(dir string, opt Options) (*Store, *Recovered, error) {
 			lastIdx, lastSize = seg.idx, size
 		}
 	}
-	rec.finish()
 	if opt.Metrics != nil {
 		opt.Metrics.RecoveredPoints.Add(uint64(len(rec.Points)))
 		opt.Metrics.TornTails.Add(uint64(rec.TornTails))
